@@ -58,8 +58,9 @@ let campaign_config () =
 let scale_workload (w : Vulfi.Workload.t) =
   if scale_is_paper then w else { w with Vulfi.Workload.w_inputs = 1 }
 
-(* Worker-domain count (-j N); the seed schedule makes the parallel
-   results bit-identical to the sequential ones. *)
+(* Worker-domain count (-j N) of the campaign driver, whose unit of
+   work is a whole cell; the seed schedule makes the parallel results
+   bit-identical to the sequential ones. *)
 let jobs = ref 1
 
 (* Executor selection: --legacy-executor is the paper's literal
@@ -77,13 +78,29 @@ let executor = ref Vulfi.Campaign.Checkpointed
    campaign the harness runs. *)
 let the_sink : Vulfi.Trace.sink option ref = ref None
 
+(* A sweep of cells through the campaign driver, on -j domains. *)
+let campaign_cells ?transform ?hooks ?on_cell cfg cells =
+  Vulfi.Campaign.run_cells ?transform ?hooks ?sink:!the_sink
+    ~executor:!executor ?on_cell ~jobs:!jobs cfg cells
+
+(* One cell (which runs on one domain at any -j). *)
 let campaign_run ?transform ?hooks cfg w target category =
-  if !jobs > 1 then
-    Vulfi.Campaign.run_parallel ?transform ?hooks ?sink:!the_sink
-      ~executor:!executor ~jobs:!jobs cfg w target category
-  else
-    Vulfi.Campaign.run ?transform ?hooks ?sink:!the_sink
-      ~executor:!executor cfg w target category
+  match campaign_cells ?transform ?hooks cfg [ (w, target, category) ] with
+  | [ r ] -> r
+  | _ -> assert false
+
+(* The quick (or paper-scale) Fig 11 sweep: every paper benchmark x
+   ISA x site category. *)
+let fig11_cells () =
+  List.concat_map
+    (fun (b : Benchmarks.Harness.benchmark) ->
+      let w = scale_workload b.Benchmarks.Harness.bench in
+      List.concat_map
+        (fun target ->
+          List.map (fun cat -> (w, target, cat))
+            Analysis.Sites.all_categories)
+        Vir.Target.all)
+    Benchmarks.Registry.paper_benchmarks
 
 (* Machine-readable export of a figure's campaign cells. *)
 let write_results_json path ~figure (cfg : Vulfi.Campaign.config)
@@ -244,19 +261,10 @@ let fig11 () =
        cfg.Vulfi.Campaign.experiments_per_campaign
        cfg.Vulfi.Campaign.max_campaigns
        (if scale_is_paper then ", paper scale" else ", quick scale"));
-  let cells =
-    List.concat_map
-      (fun (b : Benchmarks.Harness.benchmark) ->
-        let w = scale_workload b.Benchmarks.Harness.bench in
-        List.concat_map
-          (fun target ->
-            List.map (fun cat -> (w, target, cat))
-              Analysis.Sites.all_categories)
-          Vir.Target.all)
-      Benchmarks.Registry.paper_benchmarks
-  in
-  (* Live progress on stderr; the table itself still goes to stdout one
-     row per finished cell, so sequential and -j N outputs diff clean. *)
+  let cells = fig11_cells () in
+  (* Live progress on stderr as cells finish; the table goes to stdout
+     in cell order once the sweep is done, so sequential and -j N
+     outputs diff clean. *)
   let total = List.length cells in
   let t0 = Unix.gettimeofday () in
   let done_cells = ref 0 in
@@ -272,26 +280,8 @@ let fig11 () =
       (Vulfi.Report.progress_line ~label:"fig11" ~done_cells:!done_cells
          ~total_cells:total ~done_exps:!done_exps ~elapsed_s:dt)
   in
-  let run_cell pool (w, t, c) =
-    let r =
-      match pool with
-      | Some pool ->
-        (* cell-level parallel driver: one shared domain pool *)
-        Vulfi.Campaign.run_parallel ?sink:!the_sink ~executor:!executor
-          ~pool ~jobs:!jobs cfg w t c
-      | None ->
-        Vulfi.Campaign.run ?sink:!the_sink ~executor:!executor cfg w t c
-    in
-    print_endline (Vulfi.Report.fig11_row r);
-    progress r;
-    r
-  in
-  let results =
-    if !jobs > 1 then
-      Vulfi.Pool.with_pool ~jobs:!jobs (fun pool ->
-          List.map (run_cell (Some pool)) cells)
-    else List.map (run_cell None) cells
-  in
+  let results = campaign_cells ~on_cell:progress cfg cells in
+  List.iter (fun r -> print_endline (Vulfi.Report.fig11_row r)) results;
   write_results_json "RESULTS_fig11.json" ~figure:"fig11" cfg
     (List.map (fun r -> (false, r)) results)
 
@@ -303,13 +293,27 @@ let fig12 () =
   header
     "Fig 12: detector efficacy + overhead on the micro-benchmarks \
      (foreach loop-invariant detectors, checked on loop exit)";
-  let results = ref [] in
+  let micro = Benchmarks.Registry.micro_benchmarks in
+  let results =
+    campaign_cells
+      ~transform:
+        (Detectors.Overhead.transform Detectors.Overhead.paper_detectors)
+      ~hooks:Detectors.Runtime.hooks cfg
+      (List.concat_map
+         (fun (b : Benchmarks.Harness.benchmark) ->
+           let w = scale_workload b.Benchmarks.Harness.bench in
+           List.map
+             (fun cat -> (w, Vir.Target.Avx, cat))
+             Analysis.Sites.all_categories)
+         micro)
+  in
+  (* per benchmark: its detector overhead, then its cells' rows *)
   List.iter
     (fun (b : Benchmarks.Harness.benchmark) ->
-      let w = scale_workload b.Benchmarks.Harness.bench in
+      let w = b.Benchmarks.Harness.bench in
       let ov =
-        Detectors.Overhead.measure ~set:Detectors.Overhead.paper_detectors
-          b.Benchmarks.Harness.bench Vir.Target.Avx ~input:0
+        Detectors.Overhead.measure ~set:Detectors.Overhead.paper_detectors w
+          Vir.Target.Avx ~input:0
       in
       Printf.printf
         "%-16s avg overhead %5.2f%% (dynamic instructions, %d detectors)\n"
@@ -317,19 +321,13 @@ let fig12 () =
         (100.0 *. Detectors.Overhead.overhead_fraction ov)
         ov.Detectors.Overhead.detectors_inserted;
       List.iter
-        (fun cat ->
-          let r =
-            campaign_run
-              ~transform:
-                (Detectors.Overhead.transform Detectors.Overhead.paper_detectors)
-              ~hooks:Detectors.Runtime.hooks cfg w Vir.Target.Avx cat
-          in
-          results := r :: !results;
-          print_endline ("  " ^ Vulfi.Report.fig12_row r))
-        Analysis.Sites.all_categories)
-    Benchmarks.Registry.micro_benchmarks;
+        (fun (r : Vulfi.Campaign.result) ->
+          if r.Vulfi.Campaign.c_workload = w.Vulfi.Workload.w_name then
+            print_endline ("  " ^ Vulfi.Report.fig12_row r))
+        results)
+    micro;
   write_results_json "RESULTS_fig12.json" ~figure:"fig12" cfg
-    (List.map (fun r -> (true, r)) (List.rev !results))
+    (List.map (fun r -> (true, r)) results)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -566,35 +564,34 @@ let ablation () =
 
 let speedup () =
   let cfg = campaign_config () in
-  let par_jobs = max 4 !jobs in
+  (* -j N when given, else one domain per core *)
+  let par_jobs =
+    if !jobs > 1 then !jobs else max 2 (Domain.recommended_domain_count ())
+  in
   header
     (Printf.sprintf
-       "Campaign speedup: sequential vs -j %d on %d domain(s) of hardware \
-        (blackscholes, AVX, pure-data)"
+       "Campaign speedup: fig11 cell sweep at -j 1 vs -j %d on %d domain(s) \
+        of hardware"
        par_jobs
        (Domain.recommended_domain_count ()));
-  let bs = List.nth Benchmarks.Registry.paper_benchmarks 2 in
-  let w = scale_workload bs.Benchmarks.Harness.bench in
-  let time f =
+  let cells = fig11_cells () in
+  let time jobs =
     let t0 = Unix.gettimeofday () in
-    let r = f () in
+    let r = Vulfi.Campaign.run_cells ~jobs cfg cells in
     (r, Unix.gettimeofday () -. t0)
   in
-  let r_seq, t_seq =
-    time (fun () ->
-        Vulfi.Campaign.run cfg w Vir.Target.Avx Analysis.Sites.Pure_data)
+  let r_seq, t_seq = time 1 in
+  let r_par, t_par = time par_jobs in
+  let exps rs =
+    List.fold_left
+      (fun n (r : Vulfi.Campaign.result) ->
+        n + r.Vulfi.Campaign.c_totals.Vulfi.Campaign.n_experiments)
+      0 rs
   in
-  let r_par, t_par =
-    time (fun () ->
-        Vulfi.Campaign.run_parallel ~jobs:par_jobs cfg w Vir.Target.Avx
-          Analysis.Sites.Pure_data)
-  in
-  Printf.printf "sequential: %7.2f s   (%d campaigns, SDC %5.1f%%)\n" t_seq
-    r_seq.Vulfi.Campaign.c_campaigns
-    (100.0 *. Vulfi.Campaign.sdc_rate r_seq);
-  Printf.printf "-j %-2d     : %7.2f s   (%d campaigns, SDC %5.1f%%)\n"
-    par_jobs t_par r_par.Vulfi.Campaign.c_campaigns
-    (100.0 *. Vulfi.Campaign.sdc_rate r_par);
+  Printf.printf "-j 1      : %7.2f s   (%d cells, %d experiments)\n" t_seq
+    (List.length r_seq) (exps r_seq);
+  Printf.printf "-j %-2d     : %7.2f s   (%d cells, %d experiments)\n"
+    par_jobs t_par (List.length r_par) (exps r_par);
   Printf.printf "speedup   : %6.2fx   results bit-identical: %b\n"
     (t_seq /. t_par) (r_seq = r_par)
 
@@ -824,17 +821,7 @@ let campaign_bench () =
        "Campaign throughput: legacy vs checkpointed vs fast-forward vs \
         converge-pruned executor over the fig11 cell sweep (-j %d)"
        !jobs);
-  let cells =
-    List.concat_map
-      (fun (b : Benchmarks.Harness.benchmark) ->
-        let w = scale_workload b.Benchmarks.Harness.bench in
-        List.concat_map
-          (fun target ->
-            List.map (fun cat -> (w, target, cat))
-              Analysis.Sites.all_categories)
-          Vir.Target.all)
-      Benchmarks.Registry.paper_benchmarks
-  in
+  let cells = fig11_cells () in
   let sweep executor =
     let buf = Buffer.create (1 lsl 16) in
     let sink = Vulfi.Trace.to_buffer buf in

@@ -300,7 +300,6 @@ let campaign_cmd =
         seed = 0xC0FFEE;
       }
     in
-    (* The seed schedule makes -j N bit-identical to a sequential run. *)
     let requested =
       if legacy then Vulfi.Campaign.Legacy
       else if ff then Vulfi.Campaign.Fast_forward
@@ -328,13 +327,15 @@ let campaign_cmd =
       ~finally:(fun () -> Option.iter Vulfi.Trace.close sink)
       (fun () ->
         let executor = requested in
+        (* one cell, so the cell-parallel driver runs it on one domain
+           whatever -j says *)
         let campaign_run ?transform ?hooks cfg w target category =
-          if jobs > 1 then
-            Vulfi.Campaign.run_parallel ?transform ?hooks ~fault_kind ?sink
-              ~executor ~jobs cfg w target category
-          else
-            Vulfi.Campaign.run ?transform ?hooks ~fault_kind ?sink
-              ~executor cfg w target category
+          match
+            Vulfi.Campaign.run_cells ?transform ?hooks ~fault_kind ?sink
+              ~executor ~jobs cfg [ (w, target, category) ]
+          with
+          | [ r ] -> r
+          | _ -> assert false
         in
         let r =
           if with_detectors then
@@ -367,8 +368,10 @@ let campaign_cmd =
   in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Fan experiments out across $(docv) domains \
-                 (deterministic: results are identical to -j 1).")
+           ~doc:"Domains for the campaign driver, whose unit of work \
+                 is a whole cell; this command runs one cell, so it \
+                 uses one domain at any $(docv) (output is identical \
+                 to -j 1).")
   in
   let trace_arg =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"

@@ -14,18 +14,6 @@ type member =
   | M_store
   | M_reduce
 
-let member_name = function
-  | M_ibinop -> "ibinop"
-  | M_fbinop -> "fbinop"
-  | M_icmp -> "icmp"
-  | M_fcmp -> "fcmp"
-  | M_select -> "select"
-  | M_cast -> "cast"
-  | M_gep -> "gep"
-  | M_load -> "load"
-  | M_store -> "store"
-  | M_reduce -> "reduce"
-
 type rule =
   | R_fbinop_fbinop
   | R_ibinop_ibinop

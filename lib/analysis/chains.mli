@@ -31,8 +31,6 @@ type member =
   | M_store
   | M_reduce
 
-val member_name : member -> string
-
 (** Which rule a chain matched; names key the per-rule differential
     equivalence tests and the pipeline statistics. The ten fixed-shape
     peephole rules from PR 7 are kept for two/three-member chains (each

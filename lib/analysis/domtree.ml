@@ -120,8 +120,6 @@ let dominance_frontier t : (string * string list) list =
 
 let preds_of t i = t.preds.(i)
 
-let succs_of t i = t.succs.(i)
-
 (* Back edges: edges u -> v where v dominates u. *)
 let back_edges t : (string * string) list =
   let acc = ref [] in

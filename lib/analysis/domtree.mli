@@ -23,7 +23,6 @@ val idom_of : t -> string -> string option
 val dominance_frontier : t -> (string * string list) list
 
 val preds_of : t -> int -> int list
-val succs_of : t -> int -> int list
 
 (** Edges [u -> v] where [v] dominates [u] (loop back edges). *)
 val back_edges : t -> (string * string) list

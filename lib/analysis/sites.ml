@@ -49,22 +49,6 @@ let in_category t = function
   | Control -> t.t_is_control
   | Address -> t.t_is_address
 
-(* The type whose lanes are perturbed for a target. *)
-let target_value_ty (t : target) =
-  match t.t_kind with
-  | Lvalue -> t.t_instr.Vir.Instr.ty
-  | Store_value -> (
-    match t.t_instr.Vir.Instr.op with
-    | Vir.Instr.Store (v, _) -> Vir.Instr.operand_ty v
-    | _ -> assert false)
-  | Maskstore_value -> (
-    match t.t_instr.Vir.Instr.op with
-    | Vir.Instr.Call (name, args) -> (
-      match Vir.Intrinsics.value_operand name with
-      | Some ix -> Vir.Instr.operand_ty (List.nth args ix)
-      | None -> assert false)
-    | _ -> assert false)
-
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
 

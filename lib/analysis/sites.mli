@@ -37,9 +37,6 @@ val is_pure_data : target -> bool
 
 val in_category : target -> category -> bool
 
-(** The type whose lanes are perturbed for a target. *)
-val target_value_ty : target -> Vir.Vtype.t
-
 (** Enumerate all fault targets of a function/module, excluding VULFI
     runtime calls and detector-synthesised instructions. *)
 val targets_of_func : Vir.Func.t -> target list

@@ -860,22 +860,10 @@ let getter : coperand -> tgetter = function
    the destination buffer, no closure capture or Array.init dispatch on
    the dynamic path, no allocation. Safe indexing on the operands keeps
    the original failure mode on a shape-confused value. *)
-let map2_int_into (f : int64 -> int64 -> int64) (a : Ilanes.t)
-    (b : Ilanes.t) (o : Ilanes.t) : unit =
-  for i = 0 to Ilanes.length o - 1 do
-    Ilanes.unsafe_set o i (f (Ilanes.unsafe_get a i) (Ilanes.unsafe_get b i))
-  done
-
 let map2_float_into (f : float -> float -> float) (a : float array)
     (b : float array) (o : float array) : unit =
   for i = 0 to Array.length o - 1 do
     Array.unsafe_set o i (f a.(i) b.(i))
-  done
-
-let map2_float_int_into (f : float -> float -> int64) (a : float array)
-    (b : float array) (o : Ilanes.t) : unit =
-  for i = 0 to Ilanes.length o - 1 do
-    Ilanes.unsafe_set o i (f a.(i) b.(i))
   done
 
 (* Static element kind of an operand, for pre-specialization. The

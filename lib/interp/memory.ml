@@ -329,15 +329,6 @@ let write_lane_float (s : Vir.Vtype.scalar) data off (x : float) =
   | Vir.Vtype.F64 -> Bytes.set_int64_le data off (Int64.bits_of_float x)
   | _ -> assert false
 
-(* The whole range [addr, addr + bytes) inside one region, or None (the
-   caller falls back to the per-lane path, which reproduces the exact
-   per-lane trap address). *)
-let range_in_region m addr ~bytes =
-  match find m addr with
-  | Some r when Int64.to_int (Int64.sub addr r.base) + bytes <= r.size ->
-    Some (r, Int64.to_int (Int64.sub addr r.base))
-  | _ -> None
-
 (* Load a (possibly vector) value of type [ty] from contiguous memory. *)
 let load m (ty : Vir.Vtype.t) addr : Vvalue.t =
   match ty with
@@ -1112,34 +1103,5 @@ let read_f32_array m base n =
   | false ->
     Array.init n (fun i ->
         match load_scalar m F32 (Int64.add base (Int64.of_int (4 * i))) with
-        | Vvalue.F (_, [| x |]) -> x
-        | _ -> assert false)
-
-let write_f64_array m base (xs : float array) =
-  let r = range_region m base ~bytes:(8 * Array.length xs) in
-    let off = reg_off r base in
-    match r != no_region with
-  | true ->
-    touch r off (8 * Array.length xs);
-    Array.iteri
-      (fun i x ->
-        Bytes.set_int64_le r.data (off + (8 * i)) (Int64.bits_of_float x))
-      xs
-  | false ->
-    Array.iteri
-      (fun i x ->
-        store_scalar m F64 (Int64.add base (Int64.of_int (8 * i))) 0L x)
-      xs
-
-let read_f64_array m base n =
-  let r = range_region m base ~bytes:(8 * n) in
-    let off = reg_off r base in
-    match r != no_region with
-  | true ->
-    Array.init n (fun i ->
-        Int64.float_of_bits (Bytes.get_int64_le r.data (off + (8 * i))))
-  | false ->
-    Array.init n (fun i ->
-        match load_scalar m F64 (Int64.add base (Int64.of_int (8 * i))) with
         | Vvalue.F (_, [| x |]) -> x
         | _ -> assert false)

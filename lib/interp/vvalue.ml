@@ -19,8 +19,6 @@ let lanes = function I (_, a) -> Ilanes.length a | F (_, a) -> Array.length a
 
 let scalar_kind = function I (s, _) -> s | F (s, _) -> s
 
-let int_scalar s x = I (s, Ilanes.make 1 (Bits.truncate s x))
-
 let of_bool b = I (I1, Ilanes.make 1 (if b then 1L else 0L))
 
 let of_i32 x = I (I32, Ilanes.make 1 (Bits.truncate I32 (Int64.of_int x)))
@@ -123,18 +121,6 @@ let lane_bits v lane =
   match v with
   | I (s, a) -> Bits.to_unsigned s (Ilanes.get a lane)
   | F (s, a) -> Bits.bits_of_float s a.(lane)
-
-(* Replace one lane with the value encoded by [bits]. *)
-let with_lane_bits v ~lane ~bits =
-  match v with
-  | I (s, a) ->
-    let a' = Ilanes.copy a in
-    Ilanes.set a' lane (Bits.truncate s bits);
-    I (s, a')
-  | F (s, a) ->
-    let a' = Array.copy a in
-    a'.(lane) <- Bits.float_of_bits s bits;
-    F (s, a')
 
 (* Flip one bit of one lane; the core fault-injection primitive. *)
 let flip_bit v ~lane ~bit =

@@ -14,7 +14,6 @@ val scalar_kind : t -> Vir.Vtype.scalar
 
 (** Scalar constructors. *)
 
-val int_scalar : Vir.Vtype.scalar -> int64 -> t
 val of_bool : bool -> t
 val of_i32 : int -> t
 val of_i64 : int64 -> t
@@ -46,9 +45,6 @@ val insert : t -> int -> t -> t
 
 (** Raw bit pattern of a lane (floats via their IEEE encoding). *)
 val lane_bits : t -> int -> int64
-
-(** Replace one lane with the value encoded by [bits]. *)
-val with_lane_bits : t -> lane:int -> bits:int64 -> t
 
 (** Flip one bit of one lane — the core fault-injection primitive. *)
 val flip_bit : t -> lane:int -> bit:int -> t

@@ -2,11 +2,6 @@
    constant-folding pass. Lives here (not in Vvalue) to keep the
    dependency on Vir.Const construction in one place. *)
 
-let scalar_const (s : Vir.Vtype.scalar) ~(int_lane : int64)
-    ~(float_lane : float) : Vir.Const.t =
-  if Vir.Vtype.is_float_scalar s then Vir.Const.Cfloat (s, float_lane)
-  else Vir.Const.Cint (s, int_lane)
-
 let to_const (v : Vvalue.t) : Vir.Const.t =
   match v with
   | Vvalue.I (s, lanes) when Ilanes.length lanes = 1 ->

@@ -12,7 +12,9 @@
 
     - distinct cells of the same workload draw independent streams
       (the paper's per-cell samples are statistically independent), and
-    - [run_parallel] produces results bit-identical to [run]. *)
+    - cells are independent units of work: [run_cells] runs them on a
+      domain pool with results and traces bit-identical to sequential
+      [run]s. *)
 
 type config = {
   experiments_per_campaign : int;
@@ -156,10 +158,9 @@ let vacuous_benign =
 
 (* Every injection site the full schedule (all [max_campaigns]) draws
    for [input], in schedule order. A pure function of the seed
-   schedule and the input's (deterministic) dynamic-site count: the
-   sequential and parallel drivers — and the trace replayer — derive
-   the identical list, which is what makes checkpoint placement
-   deterministic. *)
+   schedule and the input's (deterministic) dynamic-site count: every
+   executor — and the trace replayer — derives the identical list,
+   which is what makes checkpoint placement deterministic. *)
 let schedule_sites cfg cell (w : Workload.t) ~input ~dyn_sites : int list =
   if dyn_sites <= 0 then []
   else begin
@@ -179,7 +180,7 @@ let schedule_sites cfg cell (w : Workload.t) ~input ~dyn_sites : int list =
 let plan_for cfg cell w ~input ~dyn_sites : int array =
   Experiment.checkpoint_plan (schedule_sites cfg cell w ~input ~dyn_sites)
 
-(* The three executors a campaign can run on. All produce bit-identical
+(* The four executors a campaign can run on. All produce bit-identical
    results, digests and traces; they differ only in how much redundant
    prefix work they re-execute per experiment.
 
@@ -213,96 +214,95 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
    [Fast_forward] does. *)
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
-(* How an experiment executes its runs (the per-experiment view of
-   [executor]; the [option] carries the vacuous case — a cell with no
-   live fault site never runs a faulty half). *)
-type exec =
-  | Paper_protocol
-  | Checkpointed_exec of Experiment.prepared_input option
-  | Fast_forward_exec of Experiment.ff_input option
-  | Converge_pruned_exec of Experiment.ff_input option
+(* The 1-based injection site experiment [ex] draws among [golden]'s
+   live dynamic sites. *)
+let site_of (golden : Experiment.golden) (ex : Seed.exp) =
+  1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
 
-(* One experiment, given its schedule entry and the accounting golden
-   (the cached one; on the paper path the profiling run re-derives the
-   same values — that recomputation is exactly what it measures). *)
-let run_experiment ~(hooks : hooks_factory) ~respect_masks ?fault_kind
-    ~(exec : exec) (prepared : Experiment.prepared)
-    ~(golden : Experiment.golden) (ex : Seed.exp) : Experiment.run_result =
-  match exec with
-  | Checkpointed_exec pi ->
-    if golden.Experiment.g_dyn_sites = 0 then
-      (* no live fault site: vacuously benign *)
-      vacuous_benign
-    else
-      let pi =
-        match pi with Some pi -> pi | None -> assert false
-        (* drivers always prepare an input that has live sites *)
-      in
-      let dynamic_site =
-        1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
-      in
-      Experiment.faulty_run_checkpointed ~hooks:(hooks ()) ~respect_masks
-        ?fault_kind prepared ~pi ~dynamic_site ~seed:ex.Seed.bit_seed
-  | Fast_forward_exec ff ->
-    if golden.Experiment.g_dyn_sites = 0 then vacuous_benign
-    else
-      let ff =
-        match ff with Some ff -> ff | None -> assert false
-      in
-      let dynamic_site =
-        1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
-      in
-      Experiment.faulty_run_ff ~hooks:(hooks ()) ~respect_masks
-        ?fault_kind prepared ~ff ~dynamic_site ~seed:ex.Seed.bit_seed
-  | Converge_pruned_exec ff ->
-    if golden.Experiment.g_dyn_sites = 0 then vacuous_benign
-    else
-      let ff =
-        match ff with Some ff -> ff | None -> assert false
-      in
-      let dynamic_site =
-        1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
-      in
-      Experiment.faulty_run_pruned ~hooks:(hooks ()) ~respect_masks
-        ?fault_kind prepared ~ff ~dynamic_site ~seed:ex.Seed.bit_seed
-  | Paper_protocol ->
-    let golden =
-      Experiment.golden_run ~hooks:(hooks ()) ~respect_masks prepared
-        ~input:golden.Experiment.g_input
+(* Resolve one distinct input of a cell on [executor]: its golden run
+   (for scheduling and accounting) and the faulty half every
+   experiment on that input runs. [Checkpointed] builds the prepared
+   input (machine + post-setup snapshot + golden run) once; the
+   fast-forward executors additionally lay the input's checkpoint plan
+   with one tracked replay; the paper protocol performs its own
+   profiling run in every experiment — that recomputation is exactly
+   what it measures. An input without live fault sites is vacuously
+   benign. *)
+let resolve_input cfg cell (w : Workload.t) ~executor
+    ~(hooks : hooks_factory) ~respect_masks ?fault_kind prepared ~input :
+    Experiment.golden * (Seed.exp -> Experiment.run_result) =
+  let live (g : Experiment.golden) faulty (ex : Seed.exp) =
+    if g.Experiment.g_dyn_sites = 0 then vacuous_benign
+    else faulty ~dynamic_site:(site_of g ex) ~seed:ex.Seed.bit_seed
+  in
+  let golden_run () =
+    Experiment.golden_run ~hooks:(hooks ()) ~respect_masks prepared ~input
+  in
+  match executor with
+  | Legacy ->
+    ( golden_run (),
+      fun ex ->
+        let golden = golden_run () in
+        live golden
+          (fun ~dynamic_site ~seed ->
+            Experiment.faulty_run ~hooks:(hooks ()) ~respect_masks
+              ?fault_kind prepared ~golden ~dynamic_site ~seed)
+          ex )
+  | Checkpointed | Fast_forward | Converge_pruned ->
+    let pi =
+      Experiment.prepare_input ~hooks:(hooks ()) ~respect_masks prepared
+        ~input
     in
-    if golden.Experiment.g_dyn_sites = 0 then vacuous_benign
-    else
-      let dynamic_site =
-        1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
-      in
-      Experiment.faulty_run ~hooks:(hooks ()) ~respect_masks ?fault_kind
-        prepared ~golden ~dynamic_site ~seed:ex.Seed.bit_seed
+    let g = pi.Experiment.pi_golden in
+    let faulty =
+      match executor with
+      | Fast_forward | Converge_pruned ->
+        let plan =
+          plan_for cfg cell w ~input ~dyn_sites:g.Experiment.g_dyn_sites
+        in
+        let ff =
+          Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks
+            prepared ~pi ~plan
+        in
+        let resume =
+          if executor = Fast_forward then Experiment.faulty_run_ff
+          else Experiment.faulty_run_pruned
+        in
+        fun ~dynamic_site ~seed ->
+          resume ~hooks:(hooks ()) ~respect_masks ?fault_kind prepared ~ff
+            ~dynamic_site ~seed
+      | Legacy | Checkpointed ->
+        fun ~dynamic_site ~seed ->
+          Experiment.faulty_run_checkpointed ~hooks:(hooks ())
+            ~respect_masks ?fault_kind prepared ~pi ~dynamic_site ~seed
+    in
+    (g, live g faulty)
 
-(* Run one experiment, timing it only when the sink asked for wall
-   times; the clock syscall is skipped entirely on the deterministic
-   (default) path. *)
-let timed_experiment ~hooks ~respect_masks ?fault_kind ~exec ~timings
-    prepared ~golden ex : Experiment.run_result * float =
+(* Run [f], timing it only when the sink asked for wall times; the
+   clock syscall is skipped entirely on the deterministic (default)
+   path. *)
+let timed ~timings f =
   if timings then begin
     let t0 = Unix.gettimeofday () in
-    let r =
-      run_experiment ~hooks ~respect_masks ?fault_kind ~exec prepared
-        ~golden ex
-    in
+    let r = f () in
     (r, Unix.gettimeofday () -. t0)
   end
-  else
-    ( run_experiment ~hooks ~respect_masks ?fault_kind ~exec prepared
-        ~golden ex,
-      0.0 )
+  else (f (), 0.0)
 
-(* Emit campaign [campaign]'s experiment records in experiment order.
-   Both drivers call this from the (sequential) protocol loop after the
-   whole batch is resolved — in the parallel driver the workers only
-   buffer results — so the trace is ordered, and byte-identical between
-   [run] and [run_parallel], at any -j. *)
-let emit_experiments sink (w : Workload.t) target category ~campaign ~inputs
-    ~site_counts ~(results : (Experiment.run_result * float) array) =
+(* What a finished campaign round leaves for the trace, in experiment
+   order: the input each experiment drew, that input's golden
+   dynamic-site count, and the result with its wall time (0 unless the
+   sink asked for timings). About a hundred bytes per experiment. *)
+type round = {
+  inputs : int array;
+  site_counts : int array;
+  results : (Experiment.run_result * float) array;
+}
+
+let timings_of = function Some s -> Trace.timings s | None -> false
+
+(* Emit campaign [campaign]'s experiment records in experiment order. *)
+let emit_round sink (w : Workload.t) target category ~campaign round =
   match sink with
   | None -> ()
   | Some s ->
@@ -311,15 +311,15 @@ let emit_experiments sink (w : Workload.t) target category ~campaign ~inputs
       (fun e (r, wall) ->
         Trace.emit s
           (Trace.experiment_record ~workload:w.Workload.w_name ~target
-             ~category ~campaign ~experiment:e ~input:inputs.(e)
-             ~golden_sites:site_counts.(e) ~result:r
+             ~category ~campaign ~experiment:e ~input:round.inputs.(e)
+             ~golden_sites:round.site_counts.(e) ~result:r
              ?wall_s:(if timings then Some wall else None) ()))
-      results
+      round.results
 
-(* The stopping protocol, shared by the sequential and parallel
-   drivers. [run_campaign c] returns campaign [c]'s run results in
-   experiment order; both drivers honour that order, so every decision
-   below — and hence the whole schedule — is identical between them. *)
+(* The adaptive stopping protocol of one cell. [run_campaign c]
+   returns campaign [c]'s run results in experiment order, so every
+   decision below — and hence the whole schedule — is a function of
+   the seed schedule alone, whichever domain runs the cell. *)
 let protocol cfg ~run_campaign =
   let totals = ref empty_totals in
   let sdc_rates = ref [] in
@@ -361,7 +361,7 @@ let finalize cfg cell (prepared : Experiment.prepared) (w : Workload.t)
   in
   let golden_runs = List.length goldens in
   (* Fast-forward accounting, recomputed from the schedule (never from
-     what any executor physically did) so all three executors report
+     what any executor physically did) so all four executors report
      identical counters: the checkpoints laid per distinct input, and
      the experiments whose site reaches the first checkpoint of its
      input's plan — exactly the runs [faulty_run_ff] resumes. *)
@@ -453,117 +453,73 @@ let executor_name = function
    the same resume machinery) to [Checkpointed], with a once-per-process
    stderr notice so the degradation is never silent. The effective
    executor is also recorded in the trace header (see {!Trace.make})
-   and surfaced by [vulfi report]. *)
-let degradation_noticed = ref false
+   and surfaced by [vulfi report]. Atomic: detector cells may resolve
+   their executor on any domain, and the notice prints exactly once. *)
+let degradation_noticed = Atomic.make false
 
 let effective_executor ~detectors (executor : executor) : executor =
   match executor with
   | (Fast_forward | Converge_pruned) when detectors ->
-    if not !degradation_noticed then begin
-      degradation_noticed := true;
+    if Atomic.compare_and_set degradation_noticed false true then
       Printf.eprintf
         "vulfi: note: %s executor degrades to checkpointed when \
          detectors are attached (detector state lives outside the \
          machine and cannot be resumed)\n%!"
-        (executor_name executor)
-    end;
+        (executor_name executor);
     Checkpointed
   | e -> e
 
 (* The order a campaign's experiments execute in: schedule order for
    the replaying executors; (input, injection site) order for the
-   fast-forward executor, so consecutive runs of one input resume from
+   fast-forward executors, so consecutive runs of one input resume from
    monotonically advancing checkpoints (each restore is then a cheap
    dirty-span rollback of the most recent image instead of a full
    copy). Results are un-permuted afterwards — experiments are
    independent, so execution order never changes what they compute. *)
 let execution_order (executor : executor) (exps : Seed.exp array)
-    (inputs : int array) ~(dyn_sites_of : int -> int) : int array =
+    (goldens : Experiment.golden array) : int array =
   let n = Array.length exps in
   let order = Array.init n Fun.id in
   (match executor with
   | Fast_forward | Converge_pruned ->
     let keys =
       Array.init n (fun e ->
-          let dyn = dyn_sites_of inputs.(e) in
+          let g = goldens.(e) in
           let site =
-            if dyn = 0 then 0
-            else 1 + Seed.uniform exps.(e).Seed.site_key dyn
+            if g.Experiment.g_dyn_sites = 0 then 0 else site_of g exps.(e)
           in
-          (inputs.(e), site, e))
+          (g.Experiment.g_input, site, e))
     in
     Array.sort (fun a b -> compare keys.(a) keys.(b)) order
   | Legacy | Checkpointed -> ());
   order
 
-(* Does [executor] run faulty halves off the fast-forward input (laid
-   checkpoints + golden dirty spans)? *)
-let uses_ff = function
-  | Fast_forward | Converge_pruned -> true
-  | Legacy | Checkpointed -> false
-
-(* Run the full campaign protocol for one
-   (workload, target, site-category) cell, sequentially.
-   [transform] pre-processes the module (e.g. detector insertion);
-   [hooks] builds per-run extra runtime (e.g. the detector API). *)
-let run ?transform ?hooks ?(respect_masks = true)
-    ?fault_kind ?sink ?(executor = Checkpointed) (cfg : config)
-    (w : Workload.t) (target : Vir.Target.t)
-    (category : Analysis.Sites.category) : result =
-  let detectors = Option.is_some hooks in
-  let executor = effective_executor ~detectors executor in
-  let hooks = Option.value hooks ~default:no_hooks_factory in
+(* The campaign protocol for one (workload, target, site-category)
+   cell, run sequentially on the calling domain — the one core behind
+   both [run] and [run_cells]. Everything the cell builds (prepared
+   module, goldens, prepared inputs, laid checkpoints) lives and dies
+   inside this call, so it never crosses domains, and consecutive
+   experiments of an input restore the checkpoint image the previous
+   one left. [on_round c round] receives each finished round in
+   campaign order. *)
+let run_cell ?transform ~hooks ~respect_masks ?fault_kind ~executor
+    ~timings ~on_round (cfg : config) (w : Workload.t) target category :
+    result =
   let prepared = Experiment.prepare ?transform w target category in
   let cell = cell_of cfg w target category in
-  (* Golden runs are deterministic per input: resolve each distinct
-     input once for scheduling and accounting (site counts, averages).
-     On the checkpointed path the entry also carries the whole prepared
-     input (machine + post-setup snapshot), so faulty runs skip machine
-     construction, [w_setup] and the golden run; the fast-forward path
-     additionally lays the input's checkpoint plan with one tracked
-     replay; on the paper-protocol path every experiment still performs
-     its own profiling run. *)
   let golden_cache = Hashtbl.create 8 in
-  let pi_cache : (int, Experiment.prepared_input) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let ff_cache : (int, Experiment.ff_input) Hashtbl.t = Hashtbl.create 8 in
+  let faulty_cache = Hashtbl.create 8 in
   let golden input =
     match Hashtbl.find_opt golden_cache input with
     | Some g -> g
     | None ->
-      let g =
-        match executor with
-        | Checkpointed ->
-          let pi =
-            Experiment.prepare_input ~hooks:(hooks ()) ~respect_masks
-              prepared ~input
-          in
-          Hashtbl.add pi_cache input pi;
-          pi.Experiment.pi_golden
-        | Fast_forward | Converge_pruned ->
-          let pi =
-            Experiment.prepare_input ~hooks:(hooks ()) ~respect_masks
-              prepared ~input
-          in
-          let g = pi.Experiment.pi_golden in
-          let plan =
-            plan_for cfg cell w ~input
-              ~dyn_sites:g.Experiment.g_dyn_sites
-          in
-          Hashtbl.add ff_cache input
-            (Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks
-               prepared ~pi ~plan);
-          g
-        | Legacy ->
-          Experiment.golden_run ~hooks:(hooks ()) ~respect_masks prepared
-            ~input
+      let g, faulty =
+        resolve_input cfg cell w ~executor ~hooks ~respect_masks ?fault_kind
+          prepared ~input
       in
       Hashtbl.add golden_cache input g;
+      Hashtbl.add faulty_cache input faulty;
       g
-  in
-  let timings =
-    match sink with Some s -> Trace.timings s | None -> false
   in
   let run_campaign c =
     let exps =
@@ -571,226 +527,84 @@ let run ?transform ?hooks ?(respect_masks = true)
           Seed.experiment cell ~campaign:c ~experiment:e)
     in
     let inputs = Array.map (input_of w) exps in
-    (* Resolve this round's goldens in schedule order (cache insertion
-       order stays executor-independent), then execute. *)
-    Array.iter (fun i -> ignore (golden i)) inputs;
-    let dyn_sites_of i =
-      (Hashtbl.find golden_cache i).Experiment.g_dyn_sites
-    in
-    let order = execution_order executor exps inputs ~dyn_sites_of in
+    (* resolve this round's goldens in schedule order, so cache
+       insertion order is executor-independent *)
+    let goldens = Array.map golden inputs in
     let results =
       Array.make cfg.experiments_per_campaign (vacuous_benign, 0.0)
     in
     Array.iter
       (fun e ->
-        let golden = Hashtbl.find golden_cache inputs.(e) in
-        let exec =
-          match executor with
-          | Checkpointed ->
-            Checkpointed_exec (Hashtbl.find_opt pi_cache inputs.(e))
-          | Fast_forward ->
-            Fast_forward_exec (Hashtbl.find_opt ff_cache inputs.(e))
-          | Converge_pruned ->
-            Converge_pruned_exec (Hashtbl.find_opt ff_cache inputs.(e))
-          | Legacy -> Paper_protocol
-        in
         results.(e) <-
-          timed_experiment ~hooks ~respect_masks ?fault_kind ~exec
-            ~timings prepared ~golden exps.(e))
-      order;
-    let site_counts =
-      Array.map
-        (fun i -> (Hashtbl.find golden_cache i).Experiment.g_dyn_sites)
-        inputs
-    in
-    emit_experiments sink w target category ~campaign:c ~inputs
-      ~site_counts ~results;
+          timed ~timings (fun () ->
+              Hashtbl.find faulty_cache inputs.(e) exps.(e)))
+      (execution_order executor exps goldens);
+    let site_counts = Array.map (fun g -> g.Experiment.g_dyn_sites) goldens in
+    on_round c { inputs; site_counts; results };
     Array.map fst results
   in
-  let r =
-    finalize cfg cell prepared w target category
-      (protocol cfg ~run_campaign) golden_cache
-  in
-  (match sink with
-  | None -> ()
-  | Some s -> Trace.emit s (result_json ~detectors r));
-  r
+  finalize cfg cell prepared w target category (protocol cfg ~run_campaign)
+    golden_cache
 
-(* Parallel driver: fans each campaign's experiments out across a
-   domain pool. Because the seed schedule fixes every random choice up
-   front, the only coordination needed is resolving each campaign's
-   golden runs before the fan-out; results are gathered in experiment
-   order, making the outcome bit-identical to [run]. *)
-let run_parallel ?transform ?hooks
-    ?(respect_masks = true) ?fault_kind ?pool ?sink
-    ?(executor = Checkpointed) ~jobs (cfg : config)
-    (w : Workload.t) (target : Vir.Target.t)
-    (category : Analysis.Sites.category) : result =
+let emit_summary sink ~detectors r =
+  Option.iter (fun s -> Trace.emit s (result_json ~detectors r)) sink
+
+(* One cell on the calling domain, streaming each round's records to
+   [sink] as the round finishes. *)
+let run ?transform ?hooks ?(respect_masks = true) ?fault_kind ?sink
+    ?(executor = Checkpointed) (cfg : config) (w : Workload.t)
+    (target : Vir.Target.t) (category : Analysis.Sites.category) : result =
   let detectors = Option.is_some hooks in
   let executor = effective_executor ~detectors executor in
   let hooks = Option.value hooks ~default:no_hooks_factory in
-  let with_pool_ f =
-    match pool with
-    | Some p -> f p
-    | None -> Pool.with_pool ~jobs f
+  let r =
+    run_cell ?transform ~hooks ~respect_masks ?fault_kind ~executor
+      ~timings:(timings_of sink)
+      ~on_round:(fun campaign round ->
+        emit_round sink w target category ~campaign round)
+      cfg w target category
   in
-  with_pool_ (fun pool ->
-      let prepared = Experiment.prepare ?transform w target category in
-      let cell = cell_of cfg w target category in
-      let golden_cache = Hashtbl.create 8 in
-      (* Machines cannot be shared across domains, so the checkpointed
-         and fast-forward paths keep one prepared-input (resp.
-         ff-input) cache per pool worker (worker ids are stable and
-         never run two items at once — no locking). A worker that
-         first meets an input re-runs setup + golden — and on the
-         fast-forward path the checkpoint-laying replay, whose plan is
-         a pure function of the schedule, so every worker lays the
-         same checkpoints — for its own cache; the numbers are
-         deterministic, so this only costs time, never changes
-         results. Per-cell lifetime: the caches (and their machines)
-         die with this call. *)
-      let uses_pi = match executor with Legacy -> false | _ -> true in
-      let pi_caches : (int, Experiment.prepared_input) Hashtbl.t array =
-        Array.init
-          (if uses_pi then Pool.size pool else 0)
-          (fun _ -> Hashtbl.create 8)
-      in
-      let ff_caches : (int, Experiment.ff_input) Hashtbl.t array =
-        Array.init
-          (if uses_ff executor then Pool.size pool else 0)
-          (fun _ -> Hashtbl.create 8)
-      in
-      (* Build (and cache) worker [wid]'s prepared input, plus its laid
-         checkpoints on the fast-forward path. *)
-      let prepare_for wid input =
-        let pi =
-          Experiment.prepare_input ~hooks:(hooks ()) ~respect_masks
-            prepared ~input
-        in
-        Hashtbl.replace pi_caches.(wid) input pi;
-        if uses_ff executor then begin
-          let plan =
-            plan_for cfg cell w ~input
-              ~dyn_sites:pi.Experiment.pi_golden.Experiment.g_dyn_sites
-          in
-          Hashtbl.replace ff_caches.(wid) input
-            (Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks
-               prepared ~pi ~plan)
-        end;
-        pi
-      in
-      let pi_for wid input (golden : Experiment.golden) =
-        if golden.Experiment.g_dyn_sites = 0 then
-          (* vacuously benign: no faulty run will happen *)
-          None
-        else
-          match Hashtbl.find_opt pi_caches.(wid) input with
-          | Some pi -> Some pi
-          | None -> Some (prepare_for wid input)
-      in
-      let ff_for wid input (golden : Experiment.golden) =
-        if golden.Experiment.g_dyn_sites = 0 then None
-        else begin
-          (match Hashtbl.find_opt ff_caches.(wid) input with
-          | Some _ -> ()
-          | None -> ignore (prepare_for wid input));
-          Hashtbl.find_opt ff_caches.(wid) input
-        end
-      in
-      let timings =
-        match sink with Some s -> Trace.timings s | None -> false
-      in
-      let run_campaign c =
-        let exps =
-          Array.init cfg.experiments_per_campaign (fun e ->
-              Seed.experiment cell ~campaign:c ~experiment:e)
-        in
-        let inputs = Array.map (input_of w) exps in
-        (* Resolve this round's missing goldens (in parallel), keeping
-           first-appearance order for cache insertion. *)
-        let seen = Hashtbl.create 8 in
-        let fresh = ref [] in
-        Array.iter
-          (fun input ->
-            if
-              (not (Hashtbl.mem golden_cache input))
-              && not (Hashtbl.mem seen input)
-            then begin
-              Hashtbl.add seen input ();
-              fresh := input :: !fresh
-            end)
-          inputs;
-        let fresh = Array.of_list (List.rev !fresh) in
-        let goldens =
-          Pool.map_with_worker pool
-            (fun wid input ->
-              if uses_pi then
-                (prepare_for wid input).Experiment.pi_golden
-              else
-                Experiment.golden_run ~hooks:(hooks ()) ~respect_masks
-                  prepared ~input)
-            fresh
-        in
-        Array.iteri (fun k g -> Hashtbl.add golden_cache fresh.(k) g) goldens;
-        (* The cache is read-only during the fan-out below. Workers
-           only buffer (result, wall) pairs; the fan-out runs in
-           injection-sorted order on the fast-forward path and results
-           are un-permuted right after, so the buffered array — and
-           hence the sink, written from this (sequential) protocol
-           loop — is in experiment order at any -j. *)
-        let dyn_sites_of i =
-          (Hashtbl.find golden_cache i).Experiment.g_dyn_sites
-        in
-        let order = execution_order executor exps inputs ~dyn_sites_of in
-        let fanned =
-          Pool.map_with_worker pool
-            (fun wid e ->
-              let input = inputs.(e) in
-              let golden = Hashtbl.find golden_cache input in
-              let exec =
-                match executor with
-                | Checkpointed ->
-                  Checkpointed_exec (pi_for wid input golden)
-                | Fast_forward -> Fast_forward_exec (ff_for wid input golden)
-                | Converge_pruned ->
-                  Converge_pruned_exec (ff_for wid input golden)
-                | Legacy -> Paper_protocol
-              in
-              timed_experiment ~hooks ~respect_masks ?fault_kind ~exec
-                ~timings prepared ~golden exps.(e))
-            order
-        in
-        let results =
-          Array.make cfg.experiments_per_campaign (vacuous_benign, 0.0)
-        in
-        Array.iteri (fun k e -> results.(e) <- fanned.(k)) order;
-        let site_counts =
-          Array.map
-            (fun i -> (Hashtbl.find golden_cache i).Experiment.g_dyn_sites)
-            inputs
-        in
-        emit_experiments sink w target category ~campaign:c ~inputs
-          ~site_counts ~results;
-        Array.map fst results
-      in
-      let r =
-        finalize cfg cell prepared w target category
-          (protocol cfg ~run_campaign) golden_cache
-      in
-      (match sink with
-      | None -> ()
-      | Some s -> Trace.emit s (result_json ~detectors r));
-      r)
+  emit_summary sink ~detectors r;
+  r
 
-(* Cell-level driver: run many (workload, target, category) cells over
-   one shared pool — the shape of a Fig 11/Table II sweep. *)
-let run_cells ?transform ?hooks ?respect_masks ?fault_kind ?sink
-    ?executor ~jobs (cfg : config)
+(* The parallel driver: whole cells are the unit of work, handed out to
+   a domain pool in cell order. Each worker runs [run_cell] and only
+   buffers its rounds; the calling domain emits every record in cell
+   order after the pool drains, so the trace is byte-identical to
+   sequential [run]s at any [jobs]. *)
+let run_cells ?transform ?hooks ?(respect_masks = true) ?fault_kind ?sink
+    ?(executor = Checkpointed) ?on_cell ~jobs (cfg : config)
     (cells : (Workload.t * Vir.Target.t * Analysis.Sites.category) list) :
     result list =
-  Pool.with_pool ~jobs (fun pool ->
-      List.map
-        (fun (w, target, category) ->
-          run_parallel ?transform ?hooks ?respect_masks ?fault_kind ~pool
-            ?sink ?executor ~jobs cfg w target category)
-        cells)
+  let detectors = Option.is_some hooks in
+  let executor = effective_executor ~detectors executor in
+  let hooks = Option.value hooks ~default:no_hooks_factory in
+  let timings = timings_of sink in
+  let on_cell_lock = Mutex.create () in
+  let run_one (w, target, category) =
+    let rounds = ref [] in
+    let r =
+      run_cell ?transform ~hooks ~respect_masks ?fault_kind ~executor
+        ~timings
+        ~on_round:(fun _ round -> rounds := round :: !rounds)
+        cfg w target category
+    in
+    Option.iter (fun f -> Mutex.protect on_cell_lock (fun () -> f r)) on_cell;
+    (r, List.rev !rounds)
+  in
+  let cells = Array.of_list cells in
+  let finished =
+    Pool.with_pool
+      ~jobs:(min jobs (Array.length cells))
+      (fun pool -> Pool.map pool run_one cells)
+  in
+  Array.map2
+    (fun (w, target, category) (r, rounds) ->
+      List.iteri
+        (fun campaign round ->
+          emit_round sink w target category ~campaign round)
+        rounds;
+      emit_summary sink ~detectors r;
+      r)
+    cells finished
+  |> Array.to_list

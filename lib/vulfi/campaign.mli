@@ -135,20 +135,22 @@ val executor_name : executor -> string
 val effective_executor : detectors:bool -> executor -> executor
 
 (** [run cfg w target category] executes the campaign protocol for one
-    (workload, ISA, site-category) cell, sequentially. [transform]
-    pre-processes the module (e.g. detector insertion); [hooks] builds
-    per-run extra runtime; [respect_masks]/[fault_kind] select ablation
-    variants. All randomness follows the pure {!Seed} schedule: each
-    experiment's input, fault site and flipped bit are functions of
-    (cfg.seed, workload, target, category, campaign, experiment).
+    (workload, ISA, site-category) cell on the calling domain.
+    [transform] pre-processes the module (e.g. detector insertion);
+    [hooks] builds per-run extra runtime; [respect_masks]/[fault_kind]
+    select ablation variants. All randomness follows the pure {!Seed}
+    schedule: each experiment's input, fault site and flipped bit are
+    functions of (cfg.seed, workload, target, category, campaign,
+    experiment).
 
     [sink] receives one telemetry record per experiment — in
-    (campaign, experiment) order — plus the cell's summary record; with
-    a default (no-timings) sink the trace is byte-identical between
-    [run] and [run_parallel].
+    (campaign, experiment) order, each round's records as soon as the
+    round has run — plus the cell's summary record; with a default
+    (no-timings) sink the trace is byte-identical to the cell's share
+    of a {!run_cells} trace at any [jobs].
 
     [executor] (default [Checkpointed]) selects the {!executor}; all
-    three are bit-identical — results, digests and traces — because
+    four are bit-identical — results, digests and traces — because
     golden runs are deterministic per (cell, input) and checkpoint
     placement is a pure function of the seed schedule. *)
 val run :
@@ -164,38 +166,22 @@ val run :
   Analysis.Sites.category ->
   result
 
-(** [run_parallel ~jobs cfg w target category] is [run] with each
-    campaign's experiments fanned out across a domain pool; the seed
-    schedule makes the result bit-identical to [run]'s. An existing
-    [pool] can be supplied to amortise domain spawning across cells
-    (in which case [jobs] is only used if [pool] is absent). [sink]
-    records are emitted in experiment order from the protocol loop
-    (workers only buffer), so the trace too is bit-identical to a
-    sequential run's unless the sink asked for wall times. With the
-    [Checkpointed] and [Fast_forward] executors each worker keeps its
-    own prepared-input (and checkpoint) cache — machines cannot cross
-    domains — while the shared golden table stays
-    schedule-deterministic; checkpoint plans are pure functions of the
-    schedule, so every worker lays identical checkpoints. *)
-val run_parallel :
-  ?transform:(Vir.Vmodule.t -> Vir.Vmodule.t) ->
-  ?hooks:hooks_factory ->
-  ?respect_masks:bool ->
-  ?fault_kind:Runtime.fault_kind ->
-  ?pool:Pool.t ->
-  ?sink:Trace.sink ->
-  ?executor:executor ->
-  jobs:int ->
-  config ->
-  Workload.t ->
-  Vir.Target.t ->
-  Analysis.Sites.category ->
-  result
-
 (** [run_cells ~jobs cfg cells] runs a list of
-    (workload, target, category) cells over one shared domain pool —
-    the shape of a Fig 11 / Table II sweep — returning results in cell
-    order, each bit-identical to a sequential [run] of that cell. *)
+    (workload, target, category) cells — the shape of a Fig 11 / Table
+    II sweep — on a pool of [jobs] domains (no more than there are
+    cells), returning results in cell order, each bit-identical to a
+    sequential {!run} of that cell. The unit of work is a whole cell: the
+    domain that picks a cell up runs its entire protocol and owns
+    everything the cell builds (prepared module, goldens, checkpoints),
+    so a single cell always runs on one domain.
+
+    Workers only buffer their cells' records; [sink] receives them all,
+    in cell order, after the last cell has finished, so the trace is
+    byte-identical to sequential [run]s at any [jobs]. [on_cell] is
+    called with each result as its cell finishes — in completion order,
+    on the domain that ran it, one call at a time — e.g. for progress
+    output. An exception raised in any cell is re-raised once every
+    other cell has finished. *)
 val run_cells :
   ?transform:(Vir.Vmodule.t -> Vir.Vmodule.t) ->
   ?hooks:hooks_factory ->
@@ -203,6 +189,7 @@ val run_cells :
   ?fault_kind:Runtime.fault_kind ->
   ?sink:Trace.sink ->
   ?executor:executor ->
+  ?on_cell:(result -> unit) ->
   jobs:int ->
   config ->
   (Workload.t * Vir.Target.t * Analysis.Sites.category) list ->

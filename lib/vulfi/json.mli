@@ -30,10 +30,8 @@ val of_string : string -> t
 val member : string -> t -> t option
 
 val get_string : t -> string option
-val get_int : t -> int option
 
 (** [Int] values are accepted and converted. *)
 val get_float : t -> float option
 
-val get_bool : t -> bool option
 val get_list : t -> t list option

@@ -2,28 +2,24 @@
 
     [create ~jobs] starts [jobs - 1] worker domains; the submitting
     thread is the remaining worker, so [map] uses exactly [jobs]
-    domains of compute. The pool is reused across [map] calls (a
-    campaign issues one batch per 100-experiment round), which keeps
-    domain spawning off the per-batch path.
+    domains of compute. The pool is reused across [map] calls, which
+    keeps domain spawning off the per-batch path.
 
     [map] preserves order: result [i] is [f arr.(i)] regardless of
     which domain executed it. Work is distributed by an atomic cursor,
-    so domains self-balance across items of uneven cost (experiments
-    that crash early are much cheaper than ones that run to
-    completion). Exceptions raised by [f] are caught in the worker and
-    re-raised (first one wins) in the submitting thread after the batch
-    drains. *)
+    so domains self-balance across items of uneven cost (campaign cells
+    differ in cost by orders of magnitude). Exceptions raised by [f]
+    are caught in the worker and re-raised (first one wins) in the
+    submitting thread after the batch drains. *)
 
 type job = {
-  run : int -> int -> unit;
-      (** [run wid i] executes item [i] on worker [wid]; never raises *)
+  run : int -> unit;  (** [run i] executes item [i]; never raises *)
   n : int;
   next : int Atomic.t;       (** work cursor *)
   completed : int Atomic.t;  (** items fully executed *)
 }
 
 type t = {
-  size : int;
   mutex : Mutex.t;
   work : Condition.t;   (** signalled when a new batch is published *)
   finished : Condition.t;  (** signalled when a batch's last item ends *)
@@ -33,17 +29,14 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
-let size t = t.size
-
-(* Pull items until the batch cursor is exhausted. [wid] identifies
-   the draining worker (0 = submitting thread, 1.. = pool domains). *)
-let drain t job wid =
+(* Pull items until the batch cursor is exhausted. *)
+let drain t job =
   let continue_ = ref true in
   while !continue_ do
     let i = Atomic.fetch_and_add job.next 1 in
     if i >= job.n then continue_ := false
     else begin
-      job.run wid i;
+      job.run i;
       if 1 + Atomic.fetch_and_add job.completed 1 = job.n then begin
         Mutex.lock t.mutex;
         Condition.broadcast t.finished;
@@ -52,7 +45,7 @@ let drain t job wid =
     end
   done
 
-let rec worker t wid last_gen =
+let rec worker t last_gen =
   Mutex.lock t.mutex;
   let has_fresh_job () =
     t.generation <> last_gen && Option.is_some t.job
@@ -65,15 +58,13 @@ let rec worker t wid last_gen =
     let gen = t.generation in
     let job = Option.get t.job in
     Mutex.unlock t.mutex;
-    drain t job wid;
-    worker t wid gen
+    drain t job;
+    worker t gen
   end
 
 let create ~jobs =
-  let size = max 1 jobs in
   let t =
     {
-      size;
       mutex = Mutex.create ();
       work = Condition.create ();
       finished = Condition.create ();
@@ -84,8 +75,8 @@ let create ~jobs =
     }
   in
   t.domains <-
-    List.init (size - 1)
-      (fun k -> Domain.spawn (fun () -> worker t (k + 1) 0));
+    List.init (max 1 jobs - 1)
+      (fun _ -> Domain.spawn (fun () -> worker t 0));
   t
 
 let shutdown t =
@@ -100,14 +91,14 @@ let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let map_with_worker t f arr =
+let map t f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
     let error = Atomic.make None in
-    let run wid i =
-      match f wid arr.(i) with
+    let run i =
+      match f arr.(i) with
       | v -> results.(i) <- Some v
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
@@ -119,8 +110,8 @@ let map_with_worker t f arr =
     t.generation <- t.generation + 1;
     Condition.broadcast t.work;
     Mutex.unlock t.mutex;
-    (* the submitting thread is worker 0 *)
-    drain t job 0;
+    (* the submitting thread is one of the workers *)
+    drain t job;
     Mutex.lock t.mutex;
     while Atomic.get job.completed < n do
       Condition.wait t.finished t.mutex
@@ -132,5 +123,3 @@ let map_with_worker t f arr =
     | None -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let map t f arr = map_with_worker t (fun _wid x -> f x) arr

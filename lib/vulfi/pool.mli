@@ -1,16 +1,11 @@
 (** A fixed-size OCaml 5 domain worker pool.
 
-    [create ~jobs] starts [jobs - 1] worker domains; the thread calling
-    {!map} acts as the remaining worker, so a batch runs on exactly
-    [jobs] domains. The pool persists across {!map} calls, keeping
-    domain spawning off the per-batch path. *)
+    A pool of [jobs] starts [jobs - 1] worker domains; the thread
+    calling {!map} acts as the remaining worker, so a batch runs on
+    exactly [jobs] domains. The pool persists across {!map} calls,
+    keeping domain spawning off the per-batch path. *)
 
 type t
-
-val create : jobs:int -> t
-
-(** Number of concurrent workers (including the submitting thread). *)
-val size : t -> int
 
 (** [map t f arr] applies [f] to every element, distributing items
     across the pool's domains via a shared cursor (items of uneven cost
@@ -19,16 +14,6 @@ val size : t -> int
     caller after the batch drains (first one wins). Not reentrant: do
     not call [map] from within [f]. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
-
-(** Like {!map}, but [f] also receives the stable id of the worker
-    executing the item: 0 for the submitting thread, 1..[size]-1 for
-    the pool domains. Lets callers keep per-worker caches (e.g. of
-    machines, which cannot be shared across domains) without any
-    locking: a given id never runs two items concurrently. *)
-val map_with_worker : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
-
-(** Terminate and join the worker domains. *)
-val shutdown : t -> unit
 
 (** [with_pool ~jobs f] runs [f] with a fresh pool, shutting it down on
     exit (normal or exceptional). *)

@@ -7,9 +7,10 @@
     - distinct (target, category) cells of the same workload draw
       independent streams (previously every cell of a workload shared
       one RNG stream, correlating the paper's per-cell samples), and
-    - an experiment's randomness is independent of execution order,
-      which is what lets {!Campaign.run_parallel} produce bit-identical
-      results to the sequential driver. *)
+    - an experiment's randomness is independent of execution order
+      and of the domain that runs it, which is what lets
+      {!Campaign.run_cells} run cells in parallel with results
+      bit-identical to sequential {!Campaign.run}s. *)
 
 (** The derived key of one (seed, workload, target, category) cell. *)
 type cell
@@ -27,8 +28,6 @@ val cell :
   target:Vir.Target.t ->
   category:Analysis.Sites.category ->
   cell
-
-val to_int64 : cell -> int64
 
 (** The raw per-experiment key; injective across (campaign, experiment)
     pairs within a cell (pinned by tests over the paper-scale grid). *)

@@ -3,10 +3,12 @@
 
     Determinism contract: with [timings] off (the default) every record
     is a pure function of the campaign configuration and the seed
-    schedule, so the trace produced by [Campaign.run] is byte-identical
-    to the one produced by [Campaign.run_parallel] at any [-j N]. The
-    drivers guarantee ordering — workers buffer their results and the
-    (sequential) protocol loop emits them in experiment order. Per-
+    schedule, so the trace produced by sequential [Campaign.run]s is
+    byte-identical to the one [Campaign.run_cells] produces at any
+    [-j N]. The drivers guarantee ordering — [run] emits each round in
+    experiment order as it finishes; in [run_cells] workers only buffer
+    their cells' rounds and the calling domain emits them in cell order
+    once every cell has finished. Per-
     experiment wall time is inherently nondeterministic, so it is an
     opt-in sink feature ([timings:true]) rather than a default field. *)
 
@@ -52,14 +54,6 @@ let make ?(timings = false) ?executor ~emit:e ~close:c () =
   let s = { s_emit = e; s_close = c; s_timings = timings } in
   e (header_record ?executor ());
   s
-
-let to_channel ?timings ?executor oc =
-  make ?timings ?executor
-    ~emit:(fun j ->
-      output_string oc (Json.to_string j);
-      output_char oc '\n')
-    ~close:(fun () -> flush oc)
-    ()
 
 let to_file ?timings ?executor path =
   let oc = open_out path in

@@ -36,10 +36,6 @@ val make :
   ?timings:bool -> ?executor:string -> emit:(Json.t -> unit) ->
   close:(unit -> unit) -> unit -> sink
 
-(** Sink appending one line per record to a channel; [close] flushes
-    but does not close the channel. *)
-val to_channel : ?timings:bool -> ?executor:string -> out_channel -> sink
-
 (** Sink writing to a fresh file; [close] closes it. *)
 val to_file : ?timings:bool -> ?executor:string -> string -> sink
 

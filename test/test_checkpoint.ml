@@ -826,6 +826,14 @@ let test_campaign_executors_match () =
 
 let test_campaign_executors_parallel_match () =
   let w = vcopy_workload [ 8; 16; 19 ] in
+  let par_cell ~sink ~executor w target category =
+    match
+      Vulfi.Campaign.run_cells ~sink ~executor ~jobs:4 tiny_config
+        [ (w, target, category) ]
+    with
+    | [ r ] -> r
+    | _ -> Alcotest.fail "run_cells: one result per cell"
+  in
   let trace_of f =
     let buf = Buffer.create 4096 in
     let sink = Vulfi.Trace.to_buffer buf in
@@ -840,9 +848,8 @@ let test_campaign_executors_parallel_match () =
   in
   let r_ckpt, tr_ckpt =
     trace_of (fun sink ->
-        Vulfi.Campaign.run_parallel ~sink
-          ~executor:Vulfi.Campaign.Checkpointed ~jobs:4 tiny_config w
-          Vir.Target.Sse Analysis.Sites.Address)
+        par_cell ~sink ~executor:Vulfi.Campaign.Checkpointed w Vir.Target.Sse
+          Analysis.Sites.Address)
   in
   let r_ff_seq, tr_ff_seq =
     trace_of (fun sink ->
@@ -851,9 +858,8 @@ let test_campaign_executors_parallel_match () =
   in
   let r_ff_par, tr_ff_par =
     trace_of (fun sink ->
-        Vulfi.Campaign.run_parallel ~sink
-          ~executor:Vulfi.Campaign.Fast_forward ~jobs:4 tiny_config w
-          Vir.Target.Sse Analysis.Sites.Address)
+        par_cell ~sink ~executor:Vulfi.Campaign.Fast_forward w Vir.Target.Sse
+          Analysis.Sites.Address)
   in
   let r_pr_seq, tr_pr_seq =
     trace_of (fun sink ->
@@ -862,9 +868,8 @@ let test_campaign_executors_parallel_match () =
   in
   let r_pr_par, tr_pr_par =
     trace_of (fun sink ->
-        Vulfi.Campaign.run_parallel ~sink
-          ~executor:Vulfi.Campaign.Converge_pruned ~jobs:4 tiny_config w
-          Vir.Target.Sse Analysis.Sites.Address)
+        par_cell ~sink ~executor:Vulfi.Campaign.Converge_pruned w Vir.Target.Sse
+          Analysis.Sites.Address)
   in
   check result_t "checkpointed -j4 == legacy sequential" r_legacy r_ckpt;
   check result_t "fast-forward sequential == legacy" r_legacy r_ff_seq;

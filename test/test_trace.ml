@@ -205,18 +205,22 @@ let test_trace_timings_adds_wall () =
     (parse_trace text)
 
 (* The headline determinism guarantee: a parallel run's trace is
-   byte-identical to the sequential run's. *)
+   byte-identical to the sequential runs'. *)
 let test_trace_parallel_byte_identical () =
   let w = vcopy_workload [ 8; 19 ] in
-  let _, seq_text =
-    traced_run tiny_config w Vir.Target.Avx Analysis.Sites.Control
+  let cells =
+    List.map (fun c -> (w, Vir.Target.Avx, c)) Analysis.Sites.all_categories
   in
   let buf = Buffer.create 4096 in
   let sink = Trace.to_buffer buf in
-  let _ =
-    Campaign.run_parallel ~sink ~jobs:4 tiny_config w Vir.Target.Avx
-      Analysis.Sites.Control
-  in
+  List.iter
+    (fun (w, t, c) -> ignore (Campaign.run ~sink tiny_config w t c))
+    cells;
+  Trace.close sink;
+  let seq_text = Buffer.contents buf in
+  let buf = Buffer.create 4096 in
+  let sink = Trace.to_buffer buf in
+  let _ = Campaign.run_cells ~sink ~jobs:4 tiny_config cells in
   Trace.close sink;
   check Alcotest.string "trace bytes identical" seq_text
     (Buffer.contents buf)

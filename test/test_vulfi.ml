@@ -600,9 +600,10 @@ let result_t : Campaign.result Alcotest.testable =
         r.Campaign.c_totals.Campaign.n_experiments r.Campaign.c_margin)
     ( = )
 
-(* The acceptance bar of the seed schedule: fanning experiments across
-   4 domains yields a result record equal (totals, per-campaign rates,
-   margin, averages) to the sequential run. *)
+(* The acceptance bar of the seed schedule: the cell-parallel driver
+   running copies of a cell concurrently on 4 domains yields, for each,
+   a result record equal (totals, per-campaign rates, margin, averages)
+   to the sequential run. *)
 let test_parallel_matches_sequential () =
   List.iter
     (fun name ->
@@ -616,11 +617,11 @@ let test_parallel_matches_sequential () =
         Campaign.run Campaign.quick_config w Vir.Target.Avx
           Analysis.Sites.Pure_data
       in
-      let par =
-        Campaign.run_parallel ~jobs:4 Campaign.quick_config w Vir.Target.Avx
-          Analysis.Sites.Pure_data
-      in
-      check result_t (name ^ ": parallel == sequential") seq par)
+      let cell = (w, Vir.Target.Avx, Analysis.Sites.Pure_data) in
+      List.iter
+        (fun par -> check result_t (name ^ ": parallel == sequential") seq par)
+        (Campaign.run_cells ~jobs:4 Campaign.quick_config
+           [ cell; cell; cell; cell ]))
     [ "vector copy"; "dot product" ]
 
 (* Same determinism bar with stateful detector hooks attached: the
@@ -634,25 +635,87 @@ let test_parallel_matches_sequential_with_detectors () =
     Campaign.run ~transform ~hooks:Detectors.Runtime.hooks tiny_config w
       Vir.Target.Avx Analysis.Sites.Control
   in
-  let par =
-    Campaign.run_parallel ~transform ~hooks:Detectors.Runtime.hooks ~jobs:4
-      tiny_config w Vir.Target.Avx Analysis.Sites.Control
-  in
-  check result_t "detector campaign parallel == sequential" seq par
+  let cell = (w, Vir.Target.Avx, Analysis.Sites.Control) in
+  List.iter
+    (fun par -> check result_t "detector campaign parallel == sequential" seq par)
+    (Campaign.run_cells ~transform ~hooks:Detectors.Runtime.hooks ~jobs:4
+       tiny_config [ cell; cell; cell; cell ])
 
+(* Cells ordered expensive-first, cheap-last, so at any [jobs] > 1 the
+   cheap cells finish while the expensive ones still run: the driver
+   must still return results, and emit the trace, in cell order —
+   equal to sequential [run]s of the cells — on every executor. *)
 let test_run_cells_matches_run () =
-  let w = vcopy_workload [ 8; 16 ] in
+  let big = vcopy_workload [ 480; 512 ] in
+  let mid = vcopy_workload [ 96 ] in
+  let small = vcopy_workload [ 3 ] in
   let cells =
     [
-      (w, Vir.Target.Avx, Analysis.Sites.Pure_data);
-      (w, Vir.Target.Sse, Analysis.Sites.Control);
+      (big, Vir.Target.Sse, Analysis.Sites.Pure_data);
+      (big, Vir.Target.Avx, Analysis.Sites.Address);
+      (mid, Vir.Target.Sse, Analysis.Sites.Control);
+      (small, Vir.Target.Avx, Analysis.Sites.Pure_data);
+      (small, Vir.Target.Sse, Analysis.Sites.Control);
+      (small, Vir.Target.Avx, Analysis.Sites.Address);
+      (small, Vir.Target.Sse, Analysis.Sites.Pure_data);
     ]
   in
-  let rs = Campaign.run_cells ~jobs:3 tiny_config cells in
-  List.iter2
-    (fun (w, t, c) r ->
-      check result_t "cell driver == sequential" (Campaign.run tiny_config w t c) r)
-    cells rs
+  let traced f =
+    let buf = Buffer.create 4096 in
+    let sink = Trace.to_buffer buf in
+    let rs = f sink in
+    Trace.close sink;
+    (rs, Buffer.contents buf)
+  in
+  List.iter
+    (fun executor ->
+      let name = Campaign.executor_name executor in
+      let seq, seq_trace =
+        traced (fun sink ->
+            List.map
+              (fun (w, t, c) -> Campaign.run ~sink ~executor tiny_config w t c)
+              cells)
+      in
+      List.iter
+        (fun jobs ->
+          let finished = Atomic.make 0 in
+          let par, par_trace =
+            traced (fun sink ->
+                Campaign.run_cells ~sink ~executor
+                  ~on_cell:(fun _ -> Atomic.incr finished)
+                  ~jobs tiny_config cells)
+          in
+          let what = Printf.sprintf "%s -j%d" name jobs in
+          check Alcotest.int (what ^ ": on_cell once per cell")
+            (List.length cells) (Atomic.get finished);
+          check (Alcotest.list result_t) (what ^ ": results") seq par;
+          check Alcotest.string (what ^ ": trace bytes") seq_trace par_trace)
+        [ 1; 2; 3; 5 ])
+    Campaign.[ Legacy; Checkpointed; Fast_forward; Converge_pruned ]
+
+(* A cell that raises (here: its transform) must not hang the pool:
+   the exception surfaces from [run_cells] once the other cells are
+   done, and the driver stays usable. *)
+let test_run_cells_propagates_cell_failure () =
+  let w = vcopy_workload [ 8; 16 ] in
+  let cells =
+    List.map
+      (fun c -> (w, Vir.Target.Avx, c))
+      Analysis.Sites.all_categories
+  in
+  List.iter
+    (fun jobs ->
+      let calls = Atomic.make 0 in
+      let transform m =
+        if Atomic.fetch_and_add calls 1 = 1 then failwith "boom" else m
+      in
+      match Campaign.run_cells ~transform ~jobs tiny_config cells with
+      | _ -> Alcotest.failf "-j%d: expected the cell's exception" jobs
+      | exception Failure msg ->
+        check Alcotest.string "cell exception surfaced" "boom" msg)
+    [ 1; 2; 3 ];
+  check Alcotest.int "driver usable afterwards" (List.length cells)
+    (List.length (Campaign.run_cells ~jobs:2 tiny_config cells))
 
 (* ---------------- pool ---------------- *)
 
@@ -929,6 +992,8 @@ let () =
             test_parallel_matches_sequential_with_detectors;
           Alcotest.test_case "cell driver == sequential" `Quick
             test_run_cells_matches_run;
+          Alcotest.test_case "cell driver: a failing cell propagates" `Quick
+            test_run_cells_propagates_cell_failure;
         ] );
       ( "pool",
         [
