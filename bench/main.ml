@@ -9,7 +9,8 @@
      speedup           — sequential vs parallel campaign wall-clock
      timing            — Bechamel wall-clock benches
 
-     campaign          legacy vs checkpointed vs fast-forward throughput
+     campaign          throughput of the four executors (legacy,
+                       checkpointed, fast-forward, converge-pruned)
 
    Default (no argument): everything at "quick" scale. Flags:
      -j N                     run campaigns on N domains (default 1)
@@ -17,8 +18,8 @@
      --legacy-executor        paper-literal two-runs-per-experiment protocol
      --ff-executor            fast-forward executor (checkpoint + resume)
      --prune-executor         converge-pruned executor (fast-forward + early
-                              termination at golden-state re-convergence);
-                              conflicts with --legacy-executor
+                              termination at golden-state re-convergence)
+                              (the executor flags are mutually exclusive)
    Environment:
      VULFI_SCALE=paper        paper-scale campaigns (hours)
      VULFI_EXPERIMENTS=N      experiments per campaign override
@@ -73,6 +74,13 @@ let jobs = ref 1
    across all four; the flags exist for cross-checks and the `campaign`
    throughput comparison. *)
 let executor = ref Vulfi.Campaign.Checkpointed
+
+let executor_flags =
+  [
+    ("--legacy-executor", Vulfi.Campaign.Legacy);
+    ("--ff-executor", Vulfi.Campaign.Fast_forward);
+    ("--prune-executor", Vulfi.Campaign.Converge_pruned);
+  ]
 
 (* Shared telemetry sink (--trace FILE), threaded through every
    campaign the harness runs. *)
@@ -1060,24 +1068,18 @@ let () =
     | "--trace" :: [] ->
       Printf.eprintf "--trace expects a file name\n";
       exit 2
-    | "--legacy-executor" :: rest ->
-      if !executor = Vulfi.Campaign.Converge_pruned then begin
-        Printf.eprintf
-          "--legacy-executor and --prune-executor are mutually exclusive\n";
+    | flag :: rest when List.mem_assoc flag executor_flags ->
+      let e = List.assoc flag executor_flags in
+      (* the default is no flag's executor, so any other earlier value
+         came from a different executor flag *)
+      if !executor <> Vulfi.Campaign.Checkpointed && !executor <> e then begin
+        let earlier, _ =
+          List.find (fun (_, e') -> e' = !executor) executor_flags
+        in
+        Printf.eprintf "%s and %s are mutually exclusive\n" earlier flag;
         exit 2
       end;
-      executor := Vulfi.Campaign.Legacy;
-      parse_args acc rest
-    | "--ff-executor" :: rest ->
-      executor := Vulfi.Campaign.Fast_forward;
-      parse_args acc rest
-    | "--prune-executor" :: rest ->
-      if !executor = Vulfi.Campaign.Legacy then begin
-        Printf.eprintf
-          "--legacy-executor and --prune-executor are mutually exclusive\n";
-        exit 2
-      end;
-      executor := Vulfi.Campaign.Converge_pruned;
+      executor := e;
       parse_args acc rest
     | "--no-fusion" :: rest ->
       Vulfi.Experiment.fusion_enabled := false;

@@ -414,10 +414,9 @@ let campaign_cmd =
                  (counters, call stack, live registers, dirty-span \
                  memory); a faulty run that re-converges with the \
                  golden run terminates immediately and splices the \
-                 golden outcome. Bit-identical output \
-                 (VULFI_NO_PRUNE=1 degrades it to plain fast-forward \
-                 for cross-checks); with --detectors it degrades to \
-                 the checkpointed executor like --ff-executor.")
+                 golden outcome. Bit-identical output; with \
+                 --detectors it degrades to the checkpointed executor \
+                 like --ff-executor.")
   in
   let no_fusion_arg =
     Arg.(value & flag & info [ "no-fusion" ]

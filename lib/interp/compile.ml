@@ -380,23 +380,34 @@ let exec_cfunc (st : state) (cf : cfunc) (regs : Vvalue.t array) :
 (* ------------------------------------------------------------------ *)
 (* Tracked execution and full-machine checkpoints.
 
-   [exec_tracked] runs the same threaded closures as [exec_cfunc] but
+   [tracked_tf] runs the same threaded closures as [exec_cfunc] but
    walks [t_steps] one instruction at a time, maintaining a shadow call
-   stack of (function, block, instruction) positions. At every extern
-   call it offers the pending argument list to a caller-supplied probe;
-   when the probe answers [true] it captures a [checkpoint]: the memory
-   image (through {!Memory.snapshot}'s dirty-span machinery), a deep
-   copy of every live register frame, the call-stack positions, and the
-   dynamic counters. The capture happens *before* the extern call
+   stack of (function, block, instruction) positions, and offers every
+   extern call to a caller-supplied [check] together with that stack
+   before the call executes. Both users build on this one hook:
+   checkpoint laying answers it by [capture]-ing the machine — the
+   memory image (through {!Memory.snapshot}'s dirty-span machinery), a
+   deep copy of every live register frame, the call-stack positions,
+   and the dynamic counters; the converge-pruned executor compares the
+   machine against a golden checkpoint with [state_equal] and raises to
+   terminate the run early. A capture happens *before* the extern call
    executes, so a resumed run re-executes that call — an injection
-   planted at the probed site happens naturally on resume.
+   planted at the captured site happens naturally on resume.
 
-   [exec_resume] is the inverse: restore memory and counters, copy the
-   saved registers back into the (machine-owned) pool frames, then
-   unwind the recorded stack innermost-first, finishing each partial
-   block from its saved instruction index and re-entering each caller
-   just after its pending call instruction. Both functions are off the
-   hot path: [t_body] and [exec_cfunc] are untouched. *)
+   [check] returns whether a future call can still matter. The first
+   [false] answer *detaches* the run: tracking stops and the rest of
+   the activation stack executes through the composed [t_body] closures
+   at full speed (per-step tracking forgoes the fused superblock
+   kernels, so a suffix no check can use would otherwise pay the
+   tracked-interpreter tax for nothing).
+
+   [exec_resume] is the inverse of [capture]: restore memory and
+   counters, copy the saved registers back into the (machine-owned)
+   pool frames, then unwind the recorded stack innermost-first,
+   finishing each partial block from its saved instruction index and
+   re-entering each caller just after its pending call instruction.
+   None of this is on the hot path: [t_body] and [exec_cfunc] are
+   untouched. *)
 
 type tracked_frame = {
   tf_func : cfunc;
@@ -426,100 +437,33 @@ type checkpoint = {
 
 let checkpoint_spent (ck : checkpoint) = ck.ck_spent
 
-let exec_tracked (st : state) (cf : cfunc) (regs : Vvalue.t array)
-    ~(probe : state -> slot:int -> Vvalue.t list -> bool)
-    ~(on_capture : checkpoint -> unit) : Vvalue.t option =
-  let stack : tracked_frame list ref = ref [] in
-  let capture () =
-    let frames =
-      Array.of_list
-        (List.rev_map
-           (fun tf ->
-             {
-               fc_func = tf.tf_func;
-               fc_block = tf.tf_block;
-               fc_instr = tf.tf_instr;
-               fc_frame = tf.tf_regs;
-               fc_saved =
-                 Array.map
-                   (fun v ->
-                     if v == default_value then v else Vvalue.copy v)
-                   tf.tf_regs;
-             })
-           !stack)
-    in
-    on_capture
-      {
-        ck_mem = Memory.snapshot st.mem;
-        ck_stack = frames;
-        ck_spent = st.budget0 - st.fuel;
-        ck_vec = st.dyn_vector;
-      }
+type check = state -> tracked_frame list -> slot:int -> Vvalue.t list -> bool
+
+(* The full machine state at a tracked extern step; [stack] is the
+   shadow call stack a [check] receives (innermost activation first). *)
+let capture (st : state) (stack : tracked_frame list) : checkpoint =
+  let frames =
+    Array.of_list
+      (List.rev_map
+         (fun tf ->
+           {
+             fc_func = tf.tf_func;
+             fc_block = tf.tf_block;
+             fc_instr = tf.tf_instr;
+             fc_frame = tf.tf_regs;
+             fc_saved =
+               Array.map
+                 (fun v -> if v == default_value then v else Vvalue.copy v)
+                 tf.tf_regs;
+           })
+         stack)
   in
-  let rec exec_tf (tf : tracked_frame) : Vvalue.t option =
-    let blocks = tf.tf_func.tblocks in
-    st.regs <- tf.tf_regs;
-    let rec go prev cur =
-      let b = Array.unsafe_get blocks cur in
-      if Array.length b.t_phis <> 0 then b.t_phis.(prev + 1) st;
-      tf.tf_block <- cur;
-      let steps = b.t_steps in
-      for k = 0 to Array.length steps - 1 do
-        tf.tf_instr <- k;
-        let s = Array.unsafe_get steps k in
-        match s.s_kind with
-        | Kplain -> s.s_exec st
-        | Kextern { x_slot; x_gs; _ } ->
-          let args =
-            Array.to_list (Array.map (fun g -> g tf.tf_regs) x_gs)
-          in
-          if probe st ~slot:x_slot args then capture ();
-          s.s_exec st
-        | Kcall { k_target; k_gs; k_dst; k_chg; _ } ->
-          (* Mirrors the direct-call closure built by [thread_call]
-             step for step, with the callee run under tracking. *)
-          k_chg st;
-          st.depth <- st.depth + 1;
-          if st.depth > st.max_depth then
-            Trap.raise_ Trap.Stack_overflow_vm;
-          let regs' = frame_for st k_target in
-          for a = 0 to Array.length k_gs - 1 do
-            Vvalue.copy_into
-              ~dst:(Array.unsafe_get regs' a)
-              ((Array.unsafe_get k_gs a) tf.tf_regs)
-          done;
-          let callee =
-            { tf_func = k_target; tf_regs = regs'; tf_block = 0;
-              tf_instr = 0 }
-          in
-          stack := callee :: !stack;
-          let r = exec_tf callee in
-          stack := List.tl !stack;
-          st.regs <- tf.tf_regs;
-          st.depth <- st.depth - 1;
-          (match r with
-          | Some v when k_dst >= 0 ->
-            Vvalue.copy_into ~dst:(Array.unsafe_get tf.tf_regs k_dst) v
-          | Some _ | None -> ())
-      done;
-      charge st;
-      match b.t_term with
-      | Ct_br next -> go cur next
-      | Ct_condbr_reg (r, l1, l2) -> (
-        match Array.unsafe_get tf.tf_regs r with
-        | Vvalue.I (_, ba) -> if Ilanes.unsafe_get ba 0 <> 0L then go cur l1 else go cur l2
-        | v -> if Vvalue.as_bool v then go cur l1 else go cur l2)
-      | Ct_condbr (c, l1, l2) ->
-        if Vvalue.as_bool (c tf.tf_regs) then go cur l1 else go cur l2
-      | Ct_ret g -> Some (g tf.tf_regs)
-      | Ct_ret_void -> None
-      | Ct_unreachable -> Trap.raise_ Trap.Unreachable_executed
-    in
-    go (-1) 0
-  in
-  let tf0 = { tf_func = cf; tf_regs = regs; tf_block = 0; tf_instr = 0 } in
-  stack := [ tf0 ];
-  exec_tf tf0
+  {
+    ck_mem = Memory.snapshot st.mem;
+    ck_stack = frames;
+    ck_spent = st.budget0 - st.fuel;
+    ck_vec = st.dyn_vector;
+  }
 
 (* Finish one activation from a saved position: run the remainder of
    the interrupted block step-by-step, then fall back to the composed
@@ -563,77 +507,6 @@ let exec_cfunc_resume (st : state) (cf : cfunc) (regs : Vvalue.t array)
   | Ct_ret g -> Some (g regs)
   | Ct_ret_void -> None
   | Ct_unreachable -> Trap.raise_ Trap.Unreachable_executed
-
-(* Resume a machine from a checkpoint it captured earlier: memory,
-   counters and register frames roll back, then the recorded call stack
-   unwinds innermost-first — the innermost frame restarts at its saved
-   step (the probed extern call, which therefore re-executes), each
-   outer frame consumes its callee's return value and continues just
-   past its pending call instruction. [budget] re-arms the fuel epoch
-   exactly like [Machine.reset ~budget] before a fresh run would:
-   [dyn_count] after resume equals prefix + suffix. Traps unwind out of
-   the resumed suffix exactly as they do out of a fresh run. *)
-let exec_resume (st : state) ~(budget : int) (ck : checkpoint) :
-    Vvalue.t option =
-  Memory.restore st.mem ck.ck_mem;
-  st.budget0 <- budget;
-  st.fuel <- budget - ck.ck_spent;
-  st.dyn_vector <- ck.ck_vec;
-  Array.iter
-    (fun fr ->
-      let dst = fr.fc_frame and src = fr.fc_saved in
-      for k = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst k in
-        if d != default_value then
-          Vvalue.copy_into ~dst:d (Array.unsafe_get src k)
-      done)
-    ck.ck_stack;
-  let n = Array.length ck.ck_stack in
-  if n = 0 then invalid_arg "Compile.exec_resume: empty checkpoint stack";
-  let rec unwind level ret =
-    let fr = ck.ck_stack.(level) in
-    st.depth <- level;
-    let r =
-      if level = n - 1 then
-        exec_cfunc_resume st fr.fc_func fr.fc_frame ~block:fr.fc_block
-          ~instr:fr.fc_instr
-      else begin
-        (match
-           fr.fc_func.tblocks.(fr.fc_block).t_steps.(fr.fc_instr).s_kind
-         with
-        | Kcall { k_dst; _ } -> (
-          match ret with
-          | Some v when k_dst >= 0 ->
-            Vvalue.copy_into ~dst:fr.fc_frame.(k_dst) v
-          | _ -> ())
-        | _ -> assert false);
-        exec_cfunc_resume st fr.fc_func fr.fc_frame ~block:fr.fc_block
-          ~instr:(fr.fc_instr + 1)
-      end
-    in
-    if level = 0 then r else unwind (level - 1) r
-  in
-  unwind (n - 1) None
-
-(* ------------------------------------------------------------------ *)
-(* Convergence-checked execution (the Converge_pruned executor's
-   engine). [exec_converge] / [exec_converge_resume] mirror
-   [exec_tracked] / [exec_resume], but instead of capturing checkpoints
-   they offer every extern call to a [check] callback together with the
-   current shadow stack; the callback typically calls [state_equal]
-   against a golden checkpoint at the same dynamic site and raises to
-   terminate the run early when the states match (the caller splices
-   the golden outcome — see Experiment.faulty_run_pruned).
-
-   [check] returns whether a future call can still matter. The first
-   [false] answer *detaches* the run: tracking stops and the rest of
-   the activation stack executes through the composed [t_body]
-   closures at full speed (per-step tracking forgoes the fused
-   superblock kernels, so a suffix that can no longer prune would
-   otherwise pay the tracked-interpreter tax for nothing). *)
-
-type converge_check =
-  state -> tracked_frame list -> slot:int -> Vvalue.t list -> bool
 
 (* Exact machine-state comparison against a checkpoint, restricted to
    what can influence the continuation: dynamic counters, the call
@@ -681,17 +554,18 @@ let state_equal (st : state) (stack : tracked_frame list)
   frames_eq (n - 1) stack
   && Memory.equal_since st.mem ck.ck_mem ~since
 
-(* Shared tracked interpreter for the convergence executors: runs one
-   activation, firing [check] before every extern step. [resume_mid]
-   starts the frame at its recorded (block, instr) position without
-   re-running the block's phi moves (the resume entry); a fresh frame
-   enters at block 0 with the entry phi move, exactly like
-   [exec_tracked]. [live] is the shared detach latch: the first [false]
-   from [check] (anywhere in the activation tree) clears it, the
-   current block's remaining steps run through [exec_cfunc_resume]'s
-   full-speed path, and every enclosing activation follows suit. *)
-let rec converge_tf (st : state) (stack : tracked_frame list ref)
-    ~(check : converge_check) ~(live : bool ref) (tf : tracked_frame)
+
+(* The one tracked interpreter: runs one activation, firing [check]
+   before every extern step. [resume_mid] starts the frame at its
+   recorded (block, instr) position without re-running the block's phi
+   moves (the resume entry); a fresh frame enters at block 0 with the
+   entry phi move, exactly like [exec_cfunc]. [live] is the shared
+   detach latch: the first [false] from [check] (anywhere in the
+   activation tree) clears it, the current block's remaining steps run
+   through [exec_cfunc_resume]'s full-speed path, and every enclosing
+   activation follows suit. *)
+let rec tracked_tf (st : state) (stack : tracked_frame list ref)
+    ~(check : check) ~(live : bool ref) (tf : tracked_frame)
     ~(resume_mid : bool) : Vvalue.t option =
   let blocks = tf.tf_func.tblocks in
   st.regs <- tf.tf_regs;
@@ -734,7 +608,7 @@ let rec converge_tf (st : state) (stack : tracked_frame list ref)
               tf_instr = 0 }
           in
           stack := callee :: !stack;
-          let r = converge_tf st stack ~check ~live callee ~resume_mid:false in
+          let r = tracked_tf st stack ~check ~live callee ~resume_mid:false in
           stack := List.tl !stack;
           st.regs <- tf.tf_regs;
           st.depth <- st.depth - 1;
@@ -776,22 +650,26 @@ let rec converge_tf (st : state) (stack : tracked_frame list ref)
   if resume_mid then go ~run_phis:false ~instr0:tf.tf_instr (-1) tf.tf_block
   else go ~run_phis:true ~instr0:0 (-1) 0
 
-(* Fresh convergence run: [exec_tracked] with [check] instead of the
-   capture probe. Used when the fault site precedes every checkpoint
-   (nothing to resume from) but later checkpoint sites can still prune. *)
-let exec_converge (st : state) (cf : cfunc) (regs : Vvalue.t array)
-    ~(check : converge_check) : Vvalue.t option =
+(* Fresh tracked run of [cf] over a prepared register file. *)
+let exec_cfunc_tracked (st : state) (cf : cfunc) (regs : Vvalue.t array)
+    ~(check : check) : Vvalue.t option =
   let tf0 = { tf_func = cf; tf_regs = regs; tf_block = 0; tf_instr = 0 } in
-  let stack = ref [ tf0 ] in
-  converge_tf st stack ~check ~live:(ref true) tf0 ~resume_mid:false
+  tracked_tf st (ref [ tf0 ]) ~check ~live:(ref true) tf0 ~resume_mid:false
 
-(* [exec_resume] with the whole resumed suffix run under tracking so
-   [check] fires at every extern along the way. The restore prologue
-   and the innermost-first unwind are identical to [exec_resume]; each
-   level's suffix just goes through [converge_tf] instead of the
-   full-speed [exec_cfunc_resume]. *)
-let exec_converge_resume (st : state) ~(budget : int) (ck : checkpoint)
-    ~(check : converge_check) : Vvalue.t option =
+(* Resume a machine from a checkpoint it captured earlier: memory,
+   counters and register frames roll back, then the recorded call stack
+   unwinds innermost-first — the innermost frame restarts at its saved
+   step (the captured extern call, which therefore re-executes), each
+   outer frame consumes its callee's return value and continues just
+   past its pending call instruction. Each level runs under the tracked
+   walk while a [check] is live, and at full speed through
+   [exec_cfunc_resume] once detached or when no [check] is given.
+   [budget] re-arms the fuel epoch exactly like [Machine.reset ~budget]
+   before a fresh run would: [dyn_count] after resume equals prefix +
+   suffix. Traps unwind out of the resumed suffix exactly as they do
+   out of a fresh run. *)
+let exec_resume ?check (st : state) ~(budget : int) (ck : checkpoint) :
+    Vvalue.t option =
   Memory.restore st.mem ck.ck_mem;
   st.budget0 <- budget;
   st.fuel <- budget - ck.ck_spent;
@@ -806,8 +684,7 @@ let exec_converge_resume (st : state) ~(budget : int) (ck : checkpoint)
       done)
     ck.ck_stack;
   let n = Array.length ck.ck_stack in
-  if n = 0 then
-    invalid_arg "Compile.exec_converge_resume: empty checkpoint stack";
+  if n = 0 then invalid_arg "Compile.exec_resume: empty checkpoint stack";
   let tfs =
     Array.map
       (fun fr ->
@@ -815,34 +692,29 @@ let exec_converge_resume (st : state) ~(budget : int) (ck : checkpoint)
           tf_block = fr.fc_block; tf_instr = fr.fc_instr })
       ck.ck_stack
   in
-  (* innermost-first shadow stack over the pending outer activations *)
-  let stack = ref [] in
-  for level = 0 to n - 1 do
-    stack := tfs.(level) :: !stack
-  done;
-  let live = ref true in
+  (* innermost-first shadow stack over the pending activations *)
+  let stack = ref (Array.fold_left (fun s tf -> tf :: s) [] tfs) in
+  let live = ref (Option.is_some check) in
+  let check = Option.value check ~default:(fun _ _ ~slot:_ _ -> false) in
   let rec unwind level ret =
     let tf = tfs.(level) in
     st.depth <- level;
+    if level < n - 1 then begin
+      (match
+         tf.tf_func.tblocks.(tf.tf_block).t_steps.(tf.tf_instr).s_kind
+       with
+      | Kcall { k_dst; _ } -> (
+        match ret with
+        | Some v when k_dst >= 0 -> Vvalue.copy_into ~dst:tf.tf_regs.(k_dst) v
+        | _ -> ())
+      | _ -> assert false);
+      tf.tf_instr <- tf.tf_instr + 1
+    end;
     let r =
-      if level = n - 1 then
-        converge_tf st stack ~check ~live tf ~resume_mid:true
-      else begin
-        (match
-           tf.tf_func.tblocks.(tf.tf_block).t_steps.(tf.tf_instr).s_kind
-         with
-        | Kcall { k_dst; _ } -> (
-          match ret with
-          | Some v when k_dst >= 0 ->
-            Vvalue.copy_into ~dst:tf.tf_regs.(k_dst) v
-          | _ -> ())
-        | _ -> assert false);
-        tf.tf_instr <- tf.tf_instr + 1;
-        if !live then converge_tf st stack ~check ~live tf ~resume_mid:true
-        else
-          exec_cfunc_resume st tf.tf_func tf.tf_regs ~block:tf.tf_block
-            ~instr:tf.tf_instr
-      end
+      if !live then tracked_tf st stack ~check ~live tf ~resume_mid:true
+      else
+        exec_cfunc_resume st tf.tf_func tf.tf_regs ~block:tf.tf_block
+          ~instr:tf.tf_instr
     in
     stack := List.tl !stack;
     if level = 0 then r else unwind (level - 1) r

@@ -51,82 +51,70 @@ val eval_icmp_lane : Vir.Instr.icmp_pred -> Vir.Vtype.scalar -> int64 -> int64 -
 val eval_fcmp_lane : Vir.Instr.fcmp_pred -> float -> float -> int64
 val eval_cast : Vir.Instr.cast_op -> Vir.Vtype.t -> Vvalue.t -> Vvalue.t
 
-(** Run function [name] with the given arguments; returns its value
-    ([None] for void).
-    @raise Trap.Trap on crash (bounds, division, budget, ...).
-    @raise Invalid_argument if the argument count does not match the
-      function's parameter count. *)
-val run : state -> string -> Vvalue.t list -> Vvalue.t option
+(** {1 Execution}
 
-(** {1 Full-machine checkpoints}
+    A run is either fresh ({!run}) or resumed from a full-machine
+    checkpoint ({!resume}), and either untracked — straight through the
+    compiled closures — or tracked: given a [check], the machine walks
+    one instruction at a time with a shadow call stack and offers every
+    extern call to the check before it executes. Checks build the two
+    uses of tracking: laying checkpoints ({!capture} at chosen sites)
+    and convergence pruning ({!state_equal} against a golden
+    checkpoint, raising to end the run). *)
 
-    Support for the fault-point fast-forward executor: capture the
-    complete machine state (memory image, live register frames, call
-    stack positions, dynamic counters) at an extern-call boundary
-    during one tracked replay, then resume faulty runs from the nearest
-    checkpoint at or before their injection site so only the
-    post-injection suffix executes. *)
-
-(** An opaque full-machine checkpoint. It aliases the frame pool of the
-    machine that captured it: resume it only on that machine. *)
+(** An opaque full-machine checkpoint: memory image, live register
+    frames, call-stack positions and dynamic counters, captured at an
+    extern-call boundary. It aliases the frame pool of the machine that
+    captured it: resume it only on that machine. *)
 type checkpoint
 
 (** Dynamic instructions executed when the checkpoint was captured
     (the prefix length a resume skips). *)
 val checkpoint_spent : checkpoint -> int
 
+(** The shadow call stack at a check point (innermost activation
+    first); opaque outside {!capture} and {!state_equal}. *)
+type stack_view
+
+(** Callback fired before each extern call of a tracked run executes,
+    with the machine, the current shadow stack, the callee's extern
+    slot and the argument values (register-buffer aliases — copy to
+    retain). A check may end the run by raising. The return value says
+    whether a future call could still matter: the first [false]
+    detaches the run — tracking stops and the remaining suffix executes
+    at full speed through the fused kernels, with no further [check]
+    calls. Detaching is purely physical; the run's results are
+    unchanged. *)
+type check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
+
 (** The extern slot index a callee name was compiled to, or [None] if
-    no call site references it. Checkpoint probes compare these dense
-    ints instead of names. *)
+    no call site references it. Checks compare these dense ints
+    instead of names. *)
 val extern_slot : state -> string -> int option
 
-(** [run] with position tracking: before each extern call executes,
-    [probe] sees the machine, the callee's extern slot and the
-    argument values (register-buffer aliases — copy to retain);
-    answering [true] captures a checkpoint at that point (the extern
-    call itself re-executes on resume) and passes it to [on_capture].
-    Slower than [run]; meant for the single instrumented replay that
-    lays a cell's checkpoints.
-    @raise Trap.Trap and [Invalid_argument] as {!run} does. *)
-val run_tracked :
-  state -> string -> Vvalue.t list ->
-  probe:(state -> slot:int -> Vvalue.t list -> bool) ->
-  on_capture:(checkpoint -> unit) ->
-  Vvalue.t option
+(** Run function [name] with the given arguments; returns a deep copy
+    of its value ([None] for void). With [check] the run is tracked.
+    @raise Trap.Trap on crash (bounds, division, budget, ...).
+    @raise Invalid_argument if the argument count does not match the
+      function's parameter count. *)
+val run : ?check:check -> state -> string -> Vvalue.t list -> Vvalue.t option
 
 (** Resume from a checkpoint captured by this machine: memory,
     counters and register frames roll back, the recorded call stack is
     re-entered, and execution continues from the checkpointed extern
-    call. [budget] re-arms the fuel epoch as [reset ~budget] would;
-    {!dyn_count} afterwards reads prefix + suffix, exactly what a
-    fresh run to the same point would report. Returns a deep copy of
-    the function result, like {!run}.
+    call. With [check] the resumed suffix is tracked. [budget] re-arms
+    the fuel epoch as [reset ~budget] would; {!dyn_count} afterwards
+    reads prefix + suffix, exactly what a fresh run to the same point
+    would report. Returns a deep copy of the function result, like
+    {!run}.
     @raise Trap.Trap on a crash in the resumed suffix. *)
-val resume : budget:int -> state -> checkpoint -> Vvalue.t option
+val resume :
+  ?check:check -> budget:int -> state -> checkpoint -> Vvalue.t option
 
-(** {1 Convergence checks}
-
-    Support for the converge-pruned executor: run (or resume) a faulty
-    experiment with every extern call offered to a [check] callback,
-    which compares the machine against the golden run's checkpoint at
-    the same dynamic site via {!state_equal} and raises to terminate
-    the run as soon as the states match — the suffix from that point is
-    provably identical to the golden run's, so the caller splices the
-    golden outcome. *)
-
-(** The shadow call stack at a check point (innermost activation
-    first); opaque outside {!state_equal}. *)
-type stack_view
-
-(** Callback fired before each extern call executes, with the machine,
-    the current shadow stack, the callee's extern slot and the argument
-    values. Terminate the run by raising. The return value says whether
-    a future call could still matter: the first [false] detaches the
-    run — tracking stops and the remaining suffix executes at full
-    speed through the fused kernels, with no further [check] calls.
-    Detaching is purely physical; the run's results and traces are
-    unchanged. *)
-type converge_check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
+(** [capture st stack] — the full machine state at the current tracked
+    extern call, from inside a {!check}. The call itself has not run:
+    resuming the checkpoint re-executes it. *)
+val capture : state -> stack_view -> checkpoint
 
 (** [state_equal st stack ck ~since] — exact equality of the running
     machine against checkpoint [ck] (captured by the same machine at
@@ -138,17 +126,3 @@ type converge_check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
     golden run's continuation from [ck]. *)
 val state_equal :
   state -> stack_view -> checkpoint -> since:Memory.spans -> bool
-
-(** [run] under position tracking with [check] fired before every
-    extern call (no checkpoints are captured). Used when the fault site
-    precedes every checkpoint, so the faulty run starts fresh but later
-    checkpoint sites can still prune it.
-    @raise Trap.Trap and [Invalid_argument] as {!run} does. *)
-val run_converge :
-  state -> string -> Vvalue.t list -> check:converge_check -> Vvalue.t option
-
-(** {!resume} with the resumed suffix run under position tracking and
-    [check] fired before every extern call along the way.
-    @raise Trap.Trap on a crash in the resumed suffix. *)
-val resume_converge :
-  budget:int -> state -> checkpoint -> check:converge_check -> Vvalue.t option

@@ -194,12 +194,11 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
 
    [Fast_forward] additionally lays full machine-state checkpoints at
    the cell's scheduled injection sites during one instrumented golden
-   replay, executes each campaign's experiments in injection order and
-   resumes every faulty run from the nearest checkpoint at or before
-   its site — only the post-injection suffix executes. Detector hooks
-   keep their state outside the machine, so cells with detectors fall
-   back to [Checkpointed] (a resumed run would skip the prefix's
-   detector activity).
+   replay and resumes every faulty run from the nearest checkpoint at
+   or before its site — only the post-injection suffix executes.
+   Detector hooks keep their state outside the machine, so cells with
+   detectors fall back to [Checkpointed] (a resumed run would skip the
+   prefix's detector activity).
 
    [Converge_pruned] rides the fast-forward machinery (same plans,
    same resume points, same execution order) and additionally runs
@@ -211,7 +210,12 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
    splice is provably identical to running the suffix out (DESIGN.md,
    convergence soundness), so results and traces stay byte-identical.
    It degrades to [Checkpointed] under detectors exactly as
-   [Fast_forward] does. *)
+   [Fast_forward] does.
+
+   The three non-legacy executors are settings of one faulty run,
+   [Experiment.faulty_run_pruned] ([Checkpointed]: no checkpoints;
+   [Fast_forward]: pruning off), and all three execute each campaign's
+   experiments in injection order. *)
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
 (* The 1-based injection site experiment [ex] draws among [golden]'s
@@ -254,29 +258,19 @@ let resolve_input cfg cell (w : Workload.t) ~executor
         ~input
     in
     let g = pi.Experiment.pi_golden in
-    let faulty =
-      match executor with
-      | Fast_forward | Converge_pruned ->
-        let plan =
-          plan_for cfg cell w ~input ~dyn_sites:g.Experiment.g_dyn_sites
-        in
-        let ff =
-          Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks
-            prepared ~pi ~plan
-        in
-        let resume =
-          if executor = Fast_forward then Experiment.faulty_run_ff
-          else Experiment.faulty_run_pruned
-        in
-        fun ~dynamic_site ~seed ->
-          resume ~hooks:(hooks ()) ~respect_masks ?fault_kind prepared ~ff
-            ~dynamic_site ~seed
-      | Legacy | Checkpointed ->
-        fun ~dynamic_site ~seed ->
-          Experiment.faulty_run_checkpointed ~hooks:(hooks ())
-            ~respect_masks ?fault_kind prepared ~pi ~dynamic_site ~seed
+    let plan =
+      if executor = Checkpointed then [||]
+      else plan_for cfg cell w ~input ~dyn_sites:g.Experiment.g_dyn_sites
     in
-    (g, live g faulty)
+    let ff =
+      Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks prepared
+        ~pi ~plan
+    in
+    let prune = executor = Converge_pruned in
+    ( g,
+      live g (fun ~dynamic_site ~seed ->
+          Experiment.faulty_run_pruned ~hooks:(hooks ()) ~respect_masks
+            ?fault_kind ~prune prepared ~ff ~dynamic_site ~seed) )
 
 (* Run [f], timing it only when the sink asked for wall times; the
    clock syscall is skipped entirely on the deterministic (default)
@@ -364,7 +358,8 @@ let finalize cfg cell (prepared : Experiment.prepared) (w : Workload.t)
      what any executor physically did) so all four executors report
      identical counters: the checkpoints laid per distinct input, and
      the experiments whose site reaches the first checkpoint of its
-     input's plan — exactly the runs [faulty_run_ff] resumes. *)
+     input's plan — exactly the runs [Experiment.faulty_run_pruned]
+     resumes on a laid input. *)
   let plans = Hashtbl.create 8 in
   List.iter
     (fun (g : Experiment.golden) ->
@@ -470,8 +465,8 @@ let effective_executor ~detectors (executor : executor) : executor =
   | e -> e
 
 (* The order a campaign's experiments execute in: schedule order for
-   the replaying executors; (input, injection site) order for the
-   fast-forward executors, so consecutive runs of one input resume from
+   the [Legacy] oracle; (input, injection site) order for the resume
+   executors, so consecutive runs of one input resume from
    monotonically advancing checkpoints (each restore is then a cheap
    dirty-span rollback of the most recent image instead of a full
    copy). Results are un-permuted afterwards — experiments are
@@ -480,8 +475,7 @@ let execution_order (executor : executor) (exps : Seed.exp array)
     (goldens : Experiment.golden array) : int array =
   let n = Array.length exps in
   let order = Array.init n Fun.id in
-  (match executor with
-  | Fast_forward | Converge_pruned ->
+  if executor <> Legacy then begin
     let keys =
       Array.init n (fun e ->
           let g = goldens.(e) in
@@ -491,7 +485,7 @@ let execution_order (executor : executor) (exps : Seed.exp array)
           (g.Experiment.g_input, site, e))
     in
     Array.sort (fun a b -> compare keys.(a) keys.(b)) order
-  | Legacy | Checkpointed -> ());
+  end;
   order
 
 (* The campaign protocol for one (workload, target, site-category)

@@ -104,17 +104,20 @@ type hooks_factory = unit -> Experiment.hooks
       the scheduled injection sites during one instrumented golden
       replay per (cell, input), and resumes every faulty run from the
       nearest checkpoint at or before its injection site, executing
-      only the post-injection suffix. Campaigns run their experiments
-      in injection-sorted order (results and traces are emitted in
-      experiment order regardless).
+      only the post-injection suffix.
     - [Converge_pruned] rides the fast-forward machinery and runs each
       faulty suffix under position tracking, comparing the machine
       against the golden state at every later checkpoint site
       ({!Interp.Machine.state_equal}); on a match it terminates
       immediately and splices the golden outcome, which is provably
       identical to running the suffix out (DESIGN.md, convergence
-      soundness). [VULFI_NO_PRUNE=1] degrades it to plain fast-forward
-      for cross-checks without changing any result or trace byte.
+      soundness).
+
+    The three non-legacy executors are settings of one faulty run,
+    {!Experiment.faulty_run_pruned}: [Checkpointed] lays no
+    checkpoints, [Fast_forward] turns pruning off. All three run a
+    campaign's experiments in injection-sorted order (results and
+    traces are emitted in experiment order regardless).
 
     When detector hooks are attached, [Fast_forward] and
     [Converge_pruned] degrade to [Checkpointed] — detector state lives

@@ -50,19 +50,6 @@ let schedule_enabled =
     | Some ("1" | "true" | "yes") -> false
     | _ -> true)
 
-(* Convergence pruning inside the converge-pruned executor: terminate a
-   faulty run at the first post-injection checkpoint site whose machine
-   state matches the golden run's, splicing the golden outcome. Pure
-   throughput — results and traces are identical either way — so it is
-   on by default; [VULFI_NO_PRUNE=1] degrades [faulty_run_pruned] to
-   the plain fast-forward path for cross-checks, mirroring
-   [VULFI_NO_FUSION]/[VULFI_NO_SCHEDULE]. *)
-let prune_enabled =
-  ref
-    (match Sys.getenv_opt "VULFI_NO_PRUNE" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
-
 (* Build, select fault sites for [category], instrument, verify and
    compile a workload. [transform] optionally rewrites the module
    before instrumentation (used to insert error detectors). Scheduling
@@ -194,8 +181,9 @@ type run_result = {
 (* A fault-induced loop must terminate as an observable hang: a run
    exceeding ten times the fault-free execution (plus slack for tiny
    kernels) is classified as budget-exhausted. The single definition is
-   shared by every executor (legacy, checkpointed, fast-forward) so a
-   future tweak cannot silently diverge their classifications. *)
+   shared by the legacy oracle and the resume path ([faulty_run_pruned]
+   and its wrappers) so a future tweak cannot silently diverge their
+   classifications. *)
 let fault_budget (golden : golden) = (golden.g_dyn_instrs * 10) + 10_000
 
 (* Faulty run at 1-based [dynamic_site]; [seed] fixes the bit choice. *)
@@ -228,45 +216,11 @@ let faulty_run ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
     r_dyn_instrs = Interp.Machine.dyn_count st;
   }
 
-(* Faulty run against a prepared input: restore the post-setup memory
-   image and re-arm the cached machine instead of rebuilding both.
-   Semantically identical to [faulty_run] — same budget rule, same
-   attach order, same classification. *)
-let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
-    ?fault_kind (p : prepared) ~(pi : prepared_input) ~dynamic_site
-    ~seed : run_result =
-  let rt =
-    Runtime.create ~seed ~respect_masks ?fault_kind
-      (Runtime.Inject { dynamic_site })
-  in
-  let golden = pi.pi_golden in
-  let budget = fault_budget golden in
-  let st = pi.pi_machine in
-  Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
-  Interp.Machine.reset ~budget st;
-  Runtime.attach rt st;
-  hooks.h_reset ();
-  hooks.h_attach st;
-  let faulty =
-    match Interp.Machine.run st p.p_workload.Workload.w_fn pi.pi_args with
-    | _ -> Ok (pi.pi_read_output ())
-    | exception Interp.Trap.Trap k -> Error k
-  in
-  {
-    r_outcome =
-      Outcome.classify
-        ~tol:p.p_workload.Workload.w_out_tolerance
-        ~golden:golden.g_output ~faulty ();
-    r_injection = Runtime.injected rt;
-    r_detected = hooks.h_flagged ();
-    r_dyn_instrs = Interp.Machine.dyn_count st;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Fast-forward execution. The checkpointed path above still replays
-   the whole golden prefix of every faulty run up to the injected
-   site; on long workloads whose injections cluster late, that prefix
-   dominates campaign time. The fast-forward executor captures full
+(* Fast-forward execution. A prepared input alone still replays the
+   whole golden prefix of every faulty run up to the injected site; on
+   long workloads whose injections cluster late, that prefix dominates
+   campaign time. The fast-forward executor captures full
    machine-state checkpoints (memory image, register frames, call
    stack, counters) at a subset of the cell's scheduled injection
    sites during ONE instrumented golden replay, and each faulty run
@@ -285,7 +239,7 @@ let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
    [experiments_per_campaign * max_campaigns] distinct sites, and the
    distinct count is far smaller on short traces). A checkpoint costs
    one memory snapshot (dirty spans of small workload heaps) plus the
-   deep-copied register frames of the stack at the probe, so even a
+   deep-copied register frames of the stack at the capture, so even a
    few hundred are cheap; runs whose site falls exactly on a plan site
    resume with zero pre-injection re-execution. *)
 let default_max_checkpoints = 192
@@ -352,36 +306,31 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
     let nplan = Array.length plan in
     let pidx = ref 0 in
     (* Accumulated golden dirty spans relative to the post-setup image.
-       They must be folded in the probe, before the capture's
+       They must be folded in the check, before the capture's
        [Memory.snapshot] resets the live spans; each fold therefore
        covers exactly the writes since the previous capture (or since
        the post-setup restore for the first one). *)
     let cum = ref Interp.Memory.no_spans in
-    (* The probe sees each extern call before it runs: the next live
-       site has index [dynamic_sites rt + 1], mirroring the counter
-       increment the handler is about to perform. *)
-    let probe _st ~slot (args : Interp.Vvalue.t list) =
-      let hit =
-        !pidx < nplan
-        && List.mem slot inject_slots
-        && (match args with
-           | [ _value; mask; _site ] ->
-             ((not respect_masks) || Interp.Vvalue.as_bool mask)
-             && Runtime.dynamic_sites rt + 1 = plan.(!pidx)
-           | _ -> false)
-      in
-      if hit then
-        cum := Interp.Memory.diff_spans (Interp.Machine.memory st) !cum;
-      hit
-    in
     let cks = ref [] in
-    let on_capture ck =
-      cks := (plan.(!pidx), ck, !cum) :: !cks;
-      incr pidx
+    (* The check sees each extern call before it runs: the next live
+       site has index [dynamic_sites rt + 1], mirroring the counter
+       increment the handler is about to perform. Once the last plan
+       site is captured it answers [false], detaching the replay. *)
+    let check mst stack ~slot (args : Interp.Vvalue.t list) =
+      (if List.mem slot inject_slots then
+         match args with
+         | [ _value; mask; _site ]
+           when ((not respect_masks) || Interp.Vvalue.as_bool mask)
+                && Runtime.dynamic_sites rt + 1 = plan.(!pidx) ->
+           cum := Interp.Memory.diff_spans (Interp.Machine.memory st) !cum;
+           let ck = Interp.Machine.capture mst stack in
+           cks := (plan.(!pidx), ck, !cum) :: !cks;
+           incr pidx
+         | _ -> ());
+      !pidx < nplan
     in
     (match
-       Interp.Machine.run_tracked st p.p_workload.Workload.w_fn pi.pi_args
-         ~probe ~on_capture
+       Interp.Machine.run ~check st p.p_workload.Workload.w_fn pi.pi_args
      with
     | _ -> ()
     | exception Interp.Trap.Trap k ->
@@ -398,69 +347,23 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
     }
   end
 
-(* Fast-forward variant of [faulty_run_checkpointed]: resume from the
-   nearest checkpoint at or before [dynamic_site] (falling back to a
-   full checkpointed replay when none exists). The runtime's site
-   counter starts at [site - 1]: the skipped prefix observed exactly
-   the sites before the checkpointed call, which re-executes first.
-   The RNG needs no replay — it is drawn only at the injection, always
-   inside the executed suffix. *)
-let faulty_run_ff ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
-    (p : prepared) ~(ff : ff_input) ~dynamic_site ~seed : run_result =
-  let cks = ff.ff_checkpoints in
-  (* rightmost checkpoint with site <= dynamic_site *)
-  let best = ref (-1) in
-  let lo = ref 0 and hi = ref (Array.length cks - 1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fst cks.(mid) <= dynamic_site then begin
-      best := mid;
-      lo := mid + 1
-    end
-    else hi := mid - 1
-  done;
-  if !best < 0 then
-    faulty_run_checkpointed ~hooks ~respect_masks ?fault_kind p
-      ~pi:ff.ff_pi ~dynamic_site ~seed
-  else begin
-    let site, ck = cks.(!best) in
-    let rt =
-      Runtime.create ~seed ~respect_masks ?fault_kind ~counter0:(site - 1)
-        (Runtime.Inject { dynamic_site })
-    in
-    let golden = ff.ff_pi.pi_golden in
-    let st = ff.ff_pi.pi_machine in
-    Runtime.attach rt st;
-    hooks.h_reset ();
-    hooks.h_attach st;
-    let faulty =
-      match Interp.Machine.resume ~budget:(fault_budget golden) st ck with
-      | _ -> Ok (ff.ff_pi.pi_read_output ())
-      | exception Interp.Trap.Trap k -> Error k
-    in
-    {
-      r_outcome =
-        Outcome.classify
-          ~tol:p.p_workload.Workload.w_out_tolerance
-          ~golden:golden.g_output ~faulty ();
-      r_injection = Runtime.injected rt;
-      r_detected = hooks.h_flagged ();
-      r_dyn_instrs = Interp.Machine.dyn_count st;
-    }
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Convergence-pruned execution. The fast-forward path above skips the
-   pre-injection prefix but still runs every post-injection suffix to
-   completion, even though most injected faults are masked long before
+(* The resume path. One faulty run serves every non-legacy executor:
+   it restarts from the nearest checkpoint at or before the injection
+   (or from the post-setup image when there is none — always so on an
+   unlaid input), and, when [prune] is set and a checkpoint site lies
+   after the injection, runs the executed portion under convergence
+   checks. The fast-forward executor is the prune-off setting; the
+   checkpointed executor is the prune-off setting on an unlaid input.
+
+   Convergence pruning: most injected faults are masked long before
    the program ends (the high benign rates of Fig 11) — from the moment
    the faulty state re-converges with the golden state, the rest of the
-   run is provably identical and wasted. The converge-pruned executor
-   runs the suffix under position tracking and, at each checkpoint site
-   after the injection, compares the machine against the golden
+   run is provably identical and wasted. At each checkpoint site after
+   the injection the check compares the machine against the golden
    checkpoint retained at that site ({!Interp.Machine.state_equal}:
    counters, call stack, live registers, dirty-span-restricted memory).
-   On a match it terminates immediately and splices the golden
+   On a match the run terminates immediately and splices the golden
    outcome — Benign, the golden dynamic counters, no detector flag —
    which is byte-identical to what running the suffix out would have
    produced (see DESIGN.md, convergence soundness). *)
@@ -482,138 +385,124 @@ let prune_stats () =
 
 exception Converged
 
-(* Converge-pruned variant of [faulty_run_ff]: identical resume /
-   fresh-start selection, but the executed portion runs under
-   convergence checks. Delegates to the plain fast-forward path when
-   pruning is disabled or no checkpoint site lies after the injection
-   (nothing could ever match, so tracked stepping would be pure
-   overhead). *)
+(* The runtime's site counter starts at [site - 1] on a resume: the
+   skipped prefix observed exactly the sites before the checkpointed
+   call, which re-executes first. The RNG needs no replay — it is drawn
+   only at the injection, always inside the executed suffix. *)
 let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
-    ?fault_kind (p : prepared) ~(ff : ff_input) ~dynamic_site ~seed :
-    run_result =
+    ?fault_kind ?(prune = true) (p : prepared) ~(ff : ff_input)
+    ~dynamic_site ~seed : run_result =
   let cks = ff.ff_checkpoints in
   let ncks = Array.length cks in
-  (* first checkpoint site strictly after the injection: the only sites
-     where re-convergence with the golden run can be detected *)
-  let j0 = ref 0 in
-  while !j0 < ncks && fst cks.(!j0) <= dynamic_site do
-    incr j0
+  (* [j0]: the first checkpoint site strictly after the injection — the
+     only sites where re-convergence with the golden run can be
+     detected. Sites ascend, so [j0 - 1] is the resume point. *)
+  let lo = ref 0 and hi = ref ncks in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fst cks.(mid) <= dynamic_site then lo := mid + 1 else hi := mid
   done;
-  if (not !prune_enabled) || !j0 >= ncks then
-    faulty_run_ff ~hooks ~respect_masks ?fault_kind p ~ff ~dynamic_site
-      ~seed
-  else begin
-    let golden = ff.ff_pi.pi_golden in
-    let st = ff.ff_pi.pi_machine in
-    (* rightmost checkpoint with site <= dynamic_site, as in
-       [faulty_run_ff] *)
-    let best = ref (-1) in
-    let lo = ref 0 and hi = ref (ncks - 1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      if fst cks.(mid) <= dynamic_site then begin
-        best := mid;
-        lo := mid + 1
-      end
-      else hi := mid - 1
-    done;
-    let rt =
-      if !best >= 0 then
-        Runtime.create ~seed ~respect_masks ?fault_kind
-          ~counter0:(fst cks.(!best) - 1)
-          (Runtime.Inject { dynamic_site })
-      else
-        Runtime.create ~seed ~respect_masks ?fault_kind
-          (Runtime.Inject { dynamic_site })
-    in
-    let inject_slots =
-      List.filter_map
-        (fun (name, _) -> Interp.Machine.extern_slot st name)
-        Fault_model.all_inject_fns
-    in
-    let next = ref !j0 in
-    (* A run that has failed this many consecutive comparisons has
-       almost certainly diverged for good (a flipped value keeps
-       propagating); give up checking and let the detach run the rest
-       of the suffix at full speed. Purely physical — the run still
-       completes and classifies exactly as the other executors say. *)
-    let max_failed_checks = 2 in
-    let failed = ref 0 in
-    let check mst stack ~slot (args : Interp.Vvalue.t list) =
-      (if !next < ncks && List.mem slot inject_slots then
-         match args with
-         | [ _value; mask; _site ]
-           when (not respect_masks) || Interp.Vvalue.as_bool mask ->
-           let site = Runtime.dynamic_sites rt + 1 in
-           while !next < ncks && fst cks.(!next) < site do
-             incr next
-           done;
-           if !next < ncks && fst cks.(!next) = site then begin
-             Atomic.incr prune_checks_performed;
-             if
-               Interp.Machine.state_equal mst stack
-                 (snd cks.(!next))
-                 ~since:ff.ff_spans.(!next)
-             then raise Converged;
-             incr failed;
-             incr next
-           end
-         | _ -> ());
-      !next < ncks && !failed < max_failed_checks
-    in
-    let budget = fault_budget golden in
-    let completion =
-      if !best >= 0 then begin
-        (* mirror [faulty_run_ff]'s resume discipline exactly *)
-        Runtime.attach rt st;
-        hooks.h_reset ();
-        hooks.h_attach st;
-        match
-          Interp.Machine.resume_converge ~budget st (snd cks.(!best)) ~check
-        with
-        | _ -> `Ran (Ok (ff.ff_pi.pi_read_output ()))
-        | exception Interp.Trap.Trap k -> `Ran (Error k)
-        | exception Converged -> `Pruned
-      end
-      else begin
-        (* mirror [faulty_run_checkpointed]'s fresh-start discipline *)
-        Interp.Memory.restore (Interp.Machine.memory st) ff.ff_pi.pi_snapshot;
-        Interp.Machine.reset ~budget st;
-        Runtime.attach rt st;
-        hooks.h_reset ();
-        hooks.h_attach st;
-        match
-          Interp.Machine.run_converge st p.p_workload.Workload.w_fn
-            ff.ff_pi.pi_args ~check
-        with
-        | _ -> `Ran (Ok (ff.ff_pi.pi_read_output ()))
-        | exception Interp.Trap.Trap k -> `Ran (Error k)
-        | exception Converged -> `Pruned
-      end
-    in
-    match completion with
-    | `Ran faulty ->
-      {
-        r_outcome =
-          Outcome.classify
-            ~tol:p.p_workload.Workload.w_out_tolerance
-            ~golden:golden.g_output ~faulty ();
-        r_injection = Runtime.injected rt;
-        r_detected = hooks.h_flagged ();
-        r_dyn_instrs = Interp.Machine.dyn_count st;
-      }
-    | `Pruned ->
-      (* Splice the golden completion: equal state at the check site
-         means the rest of the run reads and writes exactly what the
-         golden run did — outputs come back golden (Benign), the final
-         dynamic count equals the golden one, the injection record is
-         already live, and detectors cannot run under this executor
-         (detector campaigns degrade to the checkpointed tier). *)
-      Atomic.incr prunes_performed;
-      {
-        r_outcome = Outcome.Benign;
-        r_injection = Runtime.injected rt;
-        r_detected = hooks.h_flagged ();
-        r_dyn_instrs = golden.g_dyn_instrs;
-      }
-  end
+  let j0 = !lo in
+  let resume = if j0 > 0 then Some cks.(j0 - 1) else None in
+  let pi = ff.ff_pi in
+  let golden = pi.pi_golden in
+  let st = pi.pi_machine in
+  let rt =
+    Runtime.create ~seed ~respect_masks ?fault_kind
+      ~counter0:(match resume with Some (site, _) -> site - 1 | None -> 0)
+      (Runtime.Inject { dynamic_site })
+  in
+  let budget = fault_budget golden in
+  if Option.is_none resume then begin
+    Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
+    Interp.Machine.reset ~budget st
+  end;
+  Runtime.attach rt st;
+  hooks.h_reset ();
+  hooks.h_attach st;
+  (* With nothing after the injection to compare against, tracked
+     stepping would be pure overhead: the run goes untracked. *)
+  let check =
+    if (not prune) || j0 >= ncks then None
+    else begin
+      let inject_slots =
+        List.filter_map
+          (fun (name, _) -> Interp.Machine.extern_slot st name)
+          Fault_model.all_inject_fns
+      in
+      let next = ref j0 in
+      (* A run that has failed this many consecutive comparisons has
+         almost certainly diverged for good (a flipped value keeps
+         propagating); give up checking and let the detach run the rest
+         of the suffix at full speed. Purely physical — the run still
+         completes and classifies exactly as the other executors say. *)
+      let max_failed_checks = 2 in
+      let failed = ref 0 in
+      Some
+        (fun mst stack ~slot (args : Interp.Vvalue.t list) ->
+          (if !next < ncks && List.mem slot inject_slots then
+             match args with
+             | [ _value; mask; _site ]
+               when (not respect_masks) || Interp.Vvalue.as_bool mask ->
+               let site = Runtime.dynamic_sites rt + 1 in
+               while !next < ncks && fst cks.(!next) < site do
+                 incr next
+               done;
+               if !next < ncks && fst cks.(!next) = site then begin
+                 Atomic.incr prune_checks_performed;
+                 if
+                   Interp.Machine.state_equal mst stack
+                     (snd cks.(!next))
+                     ~since:ff.ff_spans.(!next)
+                 then raise Converged;
+                 incr failed;
+                 incr next
+               end
+             | _ -> ());
+          !next < ncks && !failed < max_failed_checks)
+    end
+  in
+  let finish faulty =
+    {
+      r_outcome =
+        Outcome.classify
+          ~tol:p.p_workload.Workload.w_out_tolerance
+          ~golden:golden.g_output ~faulty ();
+      r_injection = Runtime.injected rt;
+      r_detected = hooks.h_flagged ();
+      r_dyn_instrs = Interp.Machine.dyn_count st;
+    }
+  in
+  match
+    match resume with
+    | Some (_, ck) -> Interp.Machine.resume ?check ~budget st ck
+    | None ->
+      Interp.Machine.run ?check st p.p_workload.Workload.w_fn pi.pi_args
+  with
+  | _ -> finish (Ok (pi.pi_read_output ()))
+  | exception Interp.Trap.Trap k -> finish (Error k)
+  | exception Converged ->
+    (* Splice the golden completion: equal state at the check site
+       means the rest of the run reads and writes exactly what the
+       golden run did — outputs come back golden (Benign), the final
+       dynamic count equals the golden one, the injection record is
+       already live, and detectors cannot run under this executor
+       (detector campaigns degrade to the checkpointed tier). *)
+    Atomic.incr prunes_performed;
+    {
+      r_outcome = Outcome.Benign;
+      r_injection = Runtime.injected rt;
+      r_detected = hooks.h_flagged ();
+      r_dyn_instrs = golden.g_dyn_instrs;
+    }
+
+(* Faulty run against a prepared input: restore the post-setup memory
+   image and re-arm the cached machine instead of rebuilding both — the
+   resume path on an input without checkpoints. Semantically identical
+   to [faulty_run]: same budget rule, same attach order, same
+   classification. *)
+let faulty_run_checkpointed ?hooks ?respect_masks ?fault_kind
+    (p : prepared) ~(pi : prepared_input) ~dynamic_site ~seed : run_result =
+  faulty_run_pruned ?hooks ?respect_masks ?fault_kind ~prune:false p
+    ~ff:{ ff_pi = pi; ff_checkpoints = [||]; ff_spans = [||] }
+    ~dynamic_site ~seed

@@ -39,15 +39,6 @@ val fusion_enabled : bool ref
     [--no-schedule], or clear the ref to compare. *)
 val schedule_enabled : bool ref
 
-(** Whether {!faulty_run_pruned} actually prunes. Pruning only splices
-    outcomes that are provably identical to running the suffix out, so
-    results and traces are byte-identical with it on or off; it
-    defaults to [true]. Set [VULFI_NO_PRUNE=1] (read at startup) or
-    clear the ref to degrade the converge-pruned executor to plain
-    fast-forward for cross-checks, mirroring
-    {!fusion_enabled}/{!schedule_enabled}. *)
-val prune_enabled : bool ref
-
 (** [prepare ?transform w target category] builds the workload module,
     applies [transform] (e.g. detector insertion), selects the fault
     sites of [category], instruments and compiles (scheduling and
@@ -110,8 +101,8 @@ type run_result = {
 (** Dynamic-instruction budget of a faulty run: ten times the
     fault-free execution plus slack for tiny kernels, so a
     fault-induced loop terminates as an observable hang. The single
-    definition shared by all three executors (legacy, checkpointed,
-    fast-forward). *)
+    definition shared by the legacy oracle {!faulty_run} and the resume
+    path ({!faulty_run_pruned} and {!faulty_run_checkpointed}). *)
 val fault_budget : golden -> int
 
 (** Faulty run corrupting the value at 1-based [dynamic_site]; [seed]
@@ -122,20 +113,6 @@ val faulty_run :
   ?fault_kind:Runtime.fault_kind ->
   prepared ->
   golden:golden ->
-  dynamic_site:int ->
-  seed:int ->
-  run_result
-
-(** Checkpointed variant of {!faulty_run}: restores [pi]'s post-setup
-    snapshot and re-arms its machine instead of rebuilding them. The
-    result is bit-identical to {!faulty_run} on the same (input,
-    dynamic_site, seed). *)
-val faulty_run_checkpointed :
-  ?hooks:hooks ->
-  ?respect_masks:bool ->
-  ?fault_kind:Runtime.fault_kind ->
-  prepared ->
-  pi:prepared_input ->
   dynamic_site:int ->
   seed:int ->
   run_result
@@ -183,45 +160,50 @@ val lay_checkpoints :
   plan:int array ->
   ff_input
 
-(** Fast-forward variant of {!faulty_run_checkpointed}: resumes from
-    the nearest checkpoint at or before [dynamic_site], falling back
-    to a full checkpointed replay when none exists. Bit-identical to
-    {!faulty_run} on the same (input, dynamic_site, seed). *)
-val faulty_run_ff :
+(** {1 The resume path}
+
+    One faulty run serves the checkpointed, fast-forward and
+    converge-pruned executors. It resumes from the nearest checkpoint
+    at or before the injection site (or replays from the post-setup
+    image when there is none) and so executes only the post-injection
+    suffix. With pruning on, the suffix runs under position tracking
+    and is compared against the golden checkpoint at each later
+    checkpoint site ({!Interp.Machine.state_equal}: counters, call
+    stack, live registers, dirty-span-restricted memory); on a match
+    the run terminates immediately, splicing the golden outcome, which
+    is byte-identical to running the suffix out (DESIGN.md,
+    convergence soundness). *)
+
+(** [faulty_run_pruned ~ff ~dynamic_site ~seed] — the faulty run
+    resumed from [ff]'s nearest checkpoint at or before [dynamic_site],
+    with early termination at the first later checkpoint site whose
+    state matches the golden run's when [prune] (default [true]) is
+    set. [~prune:false] is the fast-forward executor; the run is
+    untracked whenever no checkpoint site lies after [dynamic_site].
+    Bit-identical to {!faulty_run} on the same (input, dynamic_site,
+    seed). *)
+val faulty_run_pruned :
   ?hooks:hooks ->
   ?respect_masks:bool ->
   ?fault_kind:Runtime.fault_kind ->
+  ?prune:bool ->
   prepared ->
   ff:ff_input ->
   dynamic_site:int ->
   seed:int ->
   run_result
 
-(** {1 Convergence-pruned execution}
-
-    The fast-forward path skips the pre-injection prefix but runs every
-    post-injection suffix to completion; most faults are masked long
-    before that. {!faulty_run_pruned} runs the suffix under position
-    tracking, compares the machine against the golden checkpoint at
-    each post-injection checkpoint site
-    ({!Interp.Machine.state_equal}: counters, call stack, live
-    registers, dirty-span-restricted memory), and on a match
-    terminates immediately, splicing the golden outcome — which is
-    byte-identical to running the suffix out (DESIGN.md, convergence
-    soundness). *)
-
-(** Converge-pruned variant of {!faulty_run_ff}: same resume point and
-    classification, with early termination at the first post-injection
-    checkpoint site whose state matches the golden run's. Bit-identical
-    to {!faulty_run} on the same (input, dynamic_site, seed). Delegates
-    to {!faulty_run_ff} when {!prune_enabled} is false or no checkpoint
-    site lies after [dynamic_site]. *)
-val faulty_run_pruned :
+(** The checkpointed executor's faulty run: {!faulty_run_pruned} with
+    pruning off on [pi] without checkpoints — it restores [pi]'s
+    post-setup snapshot and re-arms its machine instead of rebuilding
+    them. Bit-identical to {!faulty_run} on the same (input,
+    dynamic_site, seed). *)
+val faulty_run_checkpointed :
   ?hooks:hooks ->
   ?respect_masks:bool ->
   ?fault_kind:Runtime.fault_kind ->
   prepared ->
-  ff:ff_input ->
+  pi:prepared_input ->
   dynamic_site:int ->
   seed:int ->
   run_result

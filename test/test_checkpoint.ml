@@ -445,7 +445,8 @@ let test_ff_faulty_runs_match () =
               Vulfi.Experiment.faulty_run p ~golden:g ~dynamic_site:k ~seed
             in
             let ff_r =
-              Vulfi.Experiment.faulty_run_ff p ~ff ~dynamic_site:k ~seed
+              Vulfi.Experiment.faulty_run_pruned ~prune:false p ~ff
+                ~dynamic_site:k ~seed
             in
             check_runs_equal
               (Printf.sprintf "%s %s site %d"
@@ -488,8 +489,8 @@ let test_ff_fault_kinds_match () =
             ~seed
         in
         let ff_r =
-          Vulfi.Experiment.faulty_run_ff ~fault_kind p ~ff ~dynamic_site:k
-            ~seed
+          Vulfi.Experiment.faulty_run_pruned ~prune:false ~fault_kind p ~ff
+            ~dynamic_site:k ~seed
         in
         check_runs_equal
           (Printf.sprintf "%s site %d"
@@ -647,7 +648,8 @@ let prop_ff_equals_legacy =
           ~seed
       in
       let ff_r =
-        Vulfi.Experiment.faulty_run_ff ~fault_kind p ~ff ~dynamic_site ~seed
+        Vulfi.Experiment.faulty_run_pruned ~prune:false ~fault_kind p ~ff
+          ~dynamic_site ~seed
       in
       Vulfi.Outcome.to_string legacy.Vulfi.Experiment.r_outcome
       = Vulfi.Outcome.to_string ff_r.Vulfi.Experiment.r_outcome
@@ -742,6 +744,79 @@ let prop_pruned_equals_legacy =
              b.Vulfi.Runtime.inj_after
       | None, None -> true
       | _ -> false)
+
+(* ---------------- tracked walk == untracked run ---------------- *)
+
+(* Checkpoint laying detaches once its last plan site is captured and
+   pruned runs detach after a few failed comparisons, so nothing else
+   drives the tracked interpreter to the end of a run. A check that
+   always answers [true] keeps a run tracked throughout; on every
+   registry benchmark (at a randomly drawn input and checkpoint site)
+   the return value, both dynamic counters and the program output of a
+   tracked run — fresh, and resumed from a laid checkpoint — must equal
+   the untracked fresh run's, and so must an untracked resume. Some
+   benchmarks call in-module functions, so this also resumes stacks of
+   more than one activation. *)
+let test_tracked_equals_untracked () =
+  let rng = Random.State.make [| 0x7ac4ed |] in
+  let always _ _ ~slot:_ _ = true in
+  List.iter
+    (fun (b : Benchmarks.Harness.benchmark) ->
+      let w = b.Benchmarks.Harness.bench in
+      let input = Random.State.int rng w.Vulfi.Workload.w_inputs in
+      let p =
+        Vulfi.Experiment.prepare w Vir.Target.Avx Analysis.Sites.Pure_data
+      in
+      let pi = Vulfi.Experiment.prepare_input p ~input in
+      let st = pi.Vulfi.Experiment.pi_machine in
+      let observe run =
+        Vulfi.Runtime.attach
+          (Vulfi.Runtime.create Vulfi.Runtime.Profile)
+          st;
+        let ret = run () in
+        ( ret,
+          Interp.Machine.dyn_count st,
+          Interp.Machine.dyn_vector_count st,
+          pi.Vulfi.Experiment.pi_read_output () )
+      in
+      let same label (r1, d1, v1, o1) (r2, d2, v2, o2) =
+        let label fmt =
+          Printf.sprintf "%s input %d %s: %s" w.Vulfi.Workload.w_name input
+            label fmt
+        in
+        Alcotest.(check bool)
+          (label "return value") true
+          (Option.equal Interp.Vvalue.equal r1 r2);
+        check Alcotest.int (label "dyn_count") d1 d2;
+        check Alcotest.int (label "dyn_vector_count") v1 v2;
+        Alcotest.(check bool)
+          (label "output") true
+          (Vulfi.Outcome.output_equal o1 o2)
+      in
+      let fresh ?check () =
+        Interp.Memory.restore (Interp.Machine.memory st)
+          pi.Vulfi.Experiment.pi_snapshot;
+        Interp.Machine.reset st;
+        Interp.Machine.run ?check st w.Vulfi.Workload.w_fn
+          pi.Vulfi.Experiment.pi_args
+      in
+      let untracked = observe fresh in
+      same "fresh, tracked" untracked (observe (fresh ~check:always));
+      let site =
+        1
+        + Random.State.int rng
+            pi.Vulfi.Experiment.pi_golden.Vulfi.Experiment.g_dyn_sites
+      in
+      let ff = Vulfi.Experiment.lay_checkpoints p ~pi ~plan:[| site |] in
+      let ck = snd ff.Vulfi.Experiment.ff_checkpoints.(0) in
+      let resume ?check () =
+        Interp.Machine.resume ?check ~budget:Interp.Machine.default_budget
+          st ck
+      in
+      let label = Printf.sprintf "resumed at site %d" site in
+      same label untracked (observe resume);
+      same (label ^ ", tracked") untracked (observe (resume ~check:always)))
+    Benchmarks.Registry.all
 
 (* ---------------- legacy == checkpointed campaigns ---------------- *)
 
@@ -1000,6 +1075,8 @@ let () =
             test_reset_rearms_budget;
           Alcotest.test_case "reset ~spent prefix accounting" `Quick
             test_reset_spent_accounting;
+          Alcotest.test_case "tracked run == untracked run (benchmarks)"
+            `Quick test_tracked_equals_untracked;
         ] );
       ( "experiment",
         [
