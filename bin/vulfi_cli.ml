@@ -421,20 +421,18 @@ let campaign_cmd =
   let no_fusion_arg =
     Arg.(value & flag & info [ "no-fusion" ]
            ~doc:"Disable the peephole fusion annotation pass before \
-                 threading (equivalent to VULFI_NO_FUSION=1). Fusion \
-                 only changes how the hot path is lowered, never what \
-                 it computes, so results and traces are byte-identical \
-                 either way; the flag exists for cross-checking and \
-                 timing comparisons.")
+                 threading. Fusion only changes how the hot path is \
+                 lowered, never what it computes, so results and \
+                 traces are byte-identical either way; the flag exists \
+                 for cross-checking and timing comparisons.")
   in
   let no_schedule_arg =
     Arg.(value & flag & info [ "no-schedule" ]
-           ~doc:"Disable the list-scheduling pass before fusion \
-                 (equivalent to VULFI_NO_SCHEDULE=1). The scheduler \
-                 only permutes pure instructions between fences \
-                 (injection calls, memory ops, trap points), so results \
-                 and traces are byte-identical either way; the flag \
-                 exists for cross-checking and timing comparisons.")
+           ~doc:"Disable the list-scheduling pass before fusion. The \
+                 scheduler only permutes pure instructions between \
+                 fences (injection calls, memory ops, trap points), so \
+                 results and traces are byte-identical either way; the \
+                 flag exists for cross-checking and timing comparisons.")
   in
   Cmd.v
     (Cmd.info "campaign"

@@ -218,10 +218,6 @@ let[@inline] find_region m addr : region =
     r
   end
 
-let find m addr =
-  let r = find_region m addr in
-  if r == no_region then None else Some r
-
 let[@inline] reg_off r addr = Int64.to_int (Int64.sub addr r.base)
 
 (* The whole range [addr, addr + bytes) inside one region, which is
@@ -239,869 +235,282 @@ let[@inline] region_at m addr ~bytes : region =
   if r == no_region then Trap.raise_ (Trap.Out_of_bounds addr);
   r
 
-(* Scalar loads/stores by element kind. i1 occupies one byte. *)
-let load_scalar m (s : Vir.Vtype.scalar) addr : Vvalue.t =
-  let bytes = Vir.Vtype.scalar_bytes s in
-  let r = region_at m addr ~bytes in
-        let off = reg_off r addr in
+(* ------------------------------------------------------------------ *)
+(* The lane codec: the only code that encodes or decodes a scalar
+   kind's bytes. Every load and store path below reads and writes lanes
+   through these four functions against an already-resolved region, so
+   a scalar kind's memory encoding lives in exactly one reader and one
+   writer. Forced inline so the lane comes back (or goes in) unboxed.
+   i1 occupies one byte (any nonzero byte reads as 1); narrow integers
+   are sign-extended when read and truncated when written. *)
+
+let[@inline] read_lane_int (s : Vir.Vtype.scalar) data off : int64 =
   match s with
-  | I1 ->
-    Vvalue.I (I1, Ilanes.make 1 ((if Bytes.get r.data off = '\000' then 0L else 1L)))
-  | I8 ->
-    Vvalue.I (I8, Ilanes.make 1 (Int64.of_int (Char.code (Bytes.get r.data off) lsl 56 asr 56)))
-  | I32 ->
-    Vvalue.I (I32, Ilanes.make 1 (Int64.of_int32 (Bytes.get_int32_le r.data off)))
-  | I64 -> Vvalue.I (I64, Ilanes.make 1 (Bytes.get_int64_le r.data off))
-  | Ptr -> Vvalue.I (Ptr, Ilanes.make 1 (Bytes.get_int64_le r.data off))
-  | F32 ->
-    Vvalue.F
-      (F32, [| Int32.float_of_bits (Bytes.get_int32_le r.data off) |])
-  | F64 ->
-    Vvalue.F (F64, [| Int64.float_of_bits (Bytes.get_int64_le r.data off) |])
+  | I1 -> if Bytes.get data off = '\000' then 0L else 1L
+  | I8 -> Int64.of_int (Bytes.get_int8 data off)
+  | I32 -> Int64.of_int32 (Bytes.get_int32_le data off)
+  | I64 | Ptr -> Bytes.get_int64_le data off
+  | F32 | F64 -> assert false
 
-(* Raw per-lane readers: same trap behaviour as [load_scalar] but the
-   lane comes back unboxed, so the masked/gather loops neither allocate
-   a value wrapper nor box the payload. *)
-let load_scalar_int m (s : Vir.Vtype.scalar) addr : int64 =
-  let bytes = Vir.Vtype.scalar_bytes s in
-  let r = region_at m addr ~bytes in
-        let off = reg_off r addr in
+let[@inline] read_lane_float (s : Vir.Vtype.scalar) data off : float =
   match s with
-  | I1 -> if Bytes.get r.data off = '\000' then 0L else 1L
-  | I8 -> Int64.of_int (Char.code (Bytes.get r.data off) lsl 56 asr 56)
-  | I32 -> Int64.of_int32 (Bytes.get_int32_le r.data off)
-  | I64 | Ptr -> Bytes.get_int64_le r.data off
-  | F32 | F64 -> invalid_arg "Memory.load_scalar_int: float scalar"
+  | F32 -> Int32.float_of_bits (Bytes.get_int32_le data off)
+  | F64 -> Int64.float_of_bits (Bytes.get_int64_le data off)
+  | I1 | I8 | I32 | I64 | Ptr -> assert false
 
-let load_scalar_float m (s : Vir.Vtype.scalar) addr : float =
-  let bytes = Vir.Vtype.scalar_bytes s in
-  let r = region_at m addr ~bytes in
-        let off = reg_off r addr in
+let[@inline] write_lane_int (s : Vir.Vtype.scalar) data off (x : int64) =
   match s with
-  | F32 -> Int32.float_of_bits (Bytes.get_int32_le r.data off)
-  | F64 -> Int64.float_of_bits (Bytes.get_int64_le r.data off)
-  | _ -> invalid_arg "Memory.load_scalar_float: int scalar"
+  | I1 -> Bytes.set data off (if x = 0L then '\000' else '\001')
+  | I8 -> Bytes.set_int8 data off (Int64.to_int x)
+  | I32 -> Bytes.set_int32_le data off (Int64.to_int32 x)
+  | I64 | Ptr -> Bytes.set_int64_le data off x
+  | F32 | F64 -> assert false
 
-let store_scalar m (s : Vir.Vtype.scalar) addr (lane_int : int64)
-    (lane_float : float) =
-  let bytes = Vir.Vtype.scalar_bytes s in
-  let r = region_at m addr ~bytes in
-        let off = reg_off r addr in
-  touch r off bytes;
+let[@inline] write_lane_float (s : Vir.Vtype.scalar) data off (x : float) =
   match s with
-  | I1 -> Bytes.set r.data off (if lane_int = 0L then '\000' else '\001')
-  | I8 -> Bytes.set r.data off (Char.chr (Int64.to_int lane_int land 0xFF))
-  | I32 -> Bytes.set_int32_le r.data off (Int64.to_int32 lane_int)
-  | I64 | Ptr -> Bytes.set_int64_le r.data off lane_int
-  | F32 -> Bytes.set_int32_le r.data off (Int32.bits_of_float lane_float)
-  | F64 -> Bytes.set_int64_le r.data off (Int64.bits_of_float lane_float)
+  | F32 -> Bytes.set_int32_le data off (Int32.bits_of_float x)
+  | F64 -> Bytes.set_int64_le data off (Int64.bits_of_float x)
+  | I1 | I8 | I32 | I64 | Ptr -> assert false
 
-(* Raw lane readers/writers against an already-resolved region; the
-   fast vector paths below use them to avoid one region walk and one
-   intermediate 1-lane value per lane. Byte-level encodings match
-   [load_scalar]/[store_scalar] exactly. *)
-let read_lane_int (s : Vir.Vtype.scalar) data off : int64 =
-  match s with
-  | Vir.Vtype.I1 -> if Bytes.get data off = '\000' then 0L else 1L
-  | Vir.Vtype.I8 ->
-    Int64.of_int (Char.code (Bytes.get data off) lsl 56 asr 56)
-  | Vir.Vtype.I32 -> Int64.of_int32 (Bytes.get_int32_le data off)
-  | Vir.Vtype.I64 | Vir.Vtype.Ptr -> Bytes.get_int64_le data off
-  | Vir.Vtype.F32 | Vir.Vtype.F64 -> assert false
+(* Single-lane accesses with their own bounds check: a lane that is not
+   wholly inside one region traps at its own address. These are the
+   per-lane fallback of every vector path, which is how a span that
+   leaves its region reports the first out-of-bounds (enabled) lane. *)
 
-let read_lane_float (s : Vir.Vtype.scalar) data off : float =
-  match s with
-  | Vir.Vtype.F32 -> Int32.float_of_bits (Bytes.get_int32_le data off)
-  | Vir.Vtype.F64 -> Int64.float_of_bits (Bytes.get_int64_le data off)
-  | _ -> assert false
+let[@inline] load_scalar_int m s addr =
+  let r = region_at m addr ~bytes:(Vir.Vtype.scalar_bytes s) in
+  read_lane_int s r.data (reg_off r addr)
 
-let write_lane_int (s : Vir.Vtype.scalar) data off (x : int64) =
-  match s with
-  | Vir.Vtype.I1 -> Bytes.set data off (if x = 0L then '\000' else '\001')
-  | Vir.Vtype.I8 -> Bytes.set data off (Char.chr (Int64.to_int x land 0xFF))
-  | Vir.Vtype.I32 -> Bytes.set_int32_le data off (Int64.to_int32 x)
-  | Vir.Vtype.I64 | Vir.Vtype.Ptr -> Bytes.set_int64_le data off x
-  | Vir.Vtype.F32 | Vir.Vtype.F64 -> assert false
+let[@inline] load_scalar_float m s addr =
+  let r = region_at m addr ~bytes:(Vir.Vtype.scalar_bytes s) in
+  read_lane_float s r.data (reg_off r addr)
 
-let write_lane_float (s : Vir.Vtype.scalar) data off (x : float) =
-  match s with
-  | Vir.Vtype.F32 -> Bytes.set_int32_le data off (Int32.bits_of_float x)
-  | Vir.Vtype.F64 -> Bytes.set_int64_le data off (Int64.bits_of_float x)
-  | _ -> assert false
-
-(* Load a (possibly vector) value of type [ty] from contiguous memory. *)
-let load m (ty : Vir.Vtype.t) addr : Vvalue.t =
-  match ty with
-  | Vir.Vtype.Void -> invalid_arg "Memory.load: void"
-  | Vir.Vtype.Scalar s -> load_scalar m s addr
-  | Vir.Vtype.Vector (n, s) ->
-    let sb = Vir.Vtype.scalar_bytes s in
-    let step = Int64.of_int sb in
-    (let r = range_region m addr ~bytes:(n * sb) in
-    let off = reg_off r addr in
-    match r != no_region with
-    | true ->
-      if Vir.Vtype.is_float_scalar s then begin
-        let out = Array.make n 0.0 in
-        for i = 0 to n - 1 do
-          Array.unsafe_set out i (read_lane_float s r.data (off + (i * sb)))
-        done;
-        Vvalue.F (s, out)
-      end
-      else begin
-        let out = Ilanes.make n 0L in
-        for i = 0 to n - 1 do
-          Ilanes.unsafe_set out i (read_lane_int s r.data (off + (i * sb)))
-        done;
-        Vvalue.I (s, out)
-      end
-    | false ->
-      if Vir.Vtype.is_float_scalar s then
-        Vvalue.F
-          ( s,
-            Array.init n (fun i ->
-                match
-                  load_scalar m s
-                    (Int64.add addr (Int64.mul step (Int64.of_int i)))
-                with
-                | Vvalue.F (_, [| x |]) -> x
-                | _ -> assert false) )
-      else
-        Vvalue.I
-          ( s,
-            Ilanes.init n (fun i ->
-                match
-                  load_scalar m s
-                    (Int64.add addr (Int64.mul step (Int64.of_int i)))
-                with
-                | Vvalue.I (_, a) -> Ilanes.unsafe_get a 0
-                | _ -> assert false) ))
-
-(* Store a value to contiguous memory; [mask] (if given) disables lanes.
-   Masked stores whose whole vector span lies inside one region resolve
-   the region once and write enabled lanes at integer offsets (disabled
-   lanes untouched and — being in bounds along with the rest of the
-   span — needing no bounds check); each enabled lane's span is dirtied
-   individually, exactly like the per-lane path. Spans not contained in
-   one region take the per-lane path, which bounds-checks only enabled
-   lanes and reproduces exact per-lane trap addresses. *)
-let store ?mask m (v : Vvalue.t) addr =
-  let n = Vvalue.lanes v in
-  let s = Vvalue.scalar_kind v in
+let store_scalar_int m s addr x =
   let sb = Vir.Vtype.scalar_bytes s in
-  match mask with
-  | None -> (
-    let r = range_region m addr ~bytes:(n * sb) in
-    let off = reg_off r addr in
-    match r != no_region with
-    | true -> (
-      touch r off (n * sb);
-      match v with
-      | Vvalue.I (_, lanes) ->
-        for i = 0 to n - 1 do
-          write_lane_int s r.data (off + (i * sb)) (Ilanes.unsafe_get lanes i)
-        done
-      | Vvalue.F (_, lanes) ->
-        for i = 0 to n - 1 do
-          write_lane_float s r.data (off + (i * sb)) lanes.(i)
-        done)
-    | false ->
-      let step = Int64.of_int sb in
-      for i = 0 to n - 1 do
-        let a = Int64.add addr (Int64.mul step (Int64.of_int i)) in
-        match v with
-        | Vvalue.I (_, lanes) ->
-          store_scalar m s a (Ilanes.unsafe_get lanes i) 0.0
-        | Vvalue.F (_, lanes) -> store_scalar m s a 0L lanes.(i)
-      done)
-  | Some mk -> (
-    let r = range_region m addr ~bytes:(n * sb) in
-    let off = reg_off r addr in
-    match r != no_region with
-    | true -> (
-      let data = r.data in
-      match v with
-      | Vvalue.I (_, lanes) ->
-        for i = 0 to n - 1 do
-          if Vvalue.is_true_lane mk i then begin
-            let lo = off + (i * sb) in
-            touch r lo sb;
-            write_lane_int s data lo (Ilanes.unsafe_get lanes i)
-          end
-        done
-      | Vvalue.F (_, lanes) ->
-        for i = 0 to n - 1 do
-          if Vvalue.is_true_lane mk i then begin
-            let lo = off + (i * sb) in
-            touch r lo sb;
-            write_lane_float s data lo (Array.unsafe_get lanes i)
-          end
-        done)
-    | false ->
-      let step = Int64.of_int sb in
-      for i = 0 to n - 1 do
-        if Vvalue.is_true_lane mk i then
-          let a = Int64.add addr (Int64.mul step (Int64.of_int i)) in
-          match v with
-          | Vvalue.I (_, lanes) ->
-            store_scalar m s a (Ilanes.unsafe_get lanes i) 0.0
-          | Vvalue.F (_, lanes) -> store_scalar m s a 0L lanes.(i)
-      done)
+  let r = region_at m addr ~bytes:sb in
+  let off = reg_off r addr in
+  touch r off sb;
+  write_lane_int s r.data off x
 
-(* Pre-specialized load routine for a statically known access type: the
-   threading stage builds one per load site, so the per-access work is
-   region lookup + raw byte moves with no type dispatch. Semantics
-   (including per-lane trap addresses on region-straddling vector
-   accesses) are identical to [load]. *)
-let loader (ty : Vir.Vtype.t) : t -> int64 -> Vvalue.t =
-  match ty with
-  | Vir.Vtype.Void -> invalid_arg "Memory.load: void"
-  | Vir.Vtype.Scalar s -> (
-    match s with
-    | I1 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:1 in
-        let off = reg_off r addr in
-        Vvalue.I (I1, Ilanes.of_array [| (if Bytes.get r.data off = '\000' then 0L else 1L) |])
-    | I8 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:1 in
-        let off = reg_off r addr in
-        Vvalue.I (I8, Ilanes.of_array [| Int64.of_int (Char.code (Bytes.get r.data off) lsl 56 asr 56) |])
-    | I32 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        Vvalue.I (I32, Ilanes.make 1 (Int64.of_int32 (Bytes.get_int32_le r.data off)))
-    | I64 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        Vvalue.I (I64, Ilanes.make 1 (Bytes.get_int64_le r.data off))
-    | Ptr ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        Vvalue.I (Ptr, Ilanes.make 1 (Bytes.get_int64_le r.data off))
-    | F32 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        Vvalue.F
-          (F32, [| Int32.float_of_bits (Bytes.get_int32_le r.data off) |])
-    | F64 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        Vvalue.F
-          (F64, [| Int64.float_of_bits (Bytes.get_int64_le r.data off) |]))
-  | Vir.Vtype.Vector (n, s) -> (
-    let sb = Vir.Vtype.scalar_bytes s in
-    let bytes = n * sb in
-    (* Common (kind, width) pairs get fully unrolled bodies with the
-       result array allocated inline by the literal. *)
-    match (s, n) with
-    | Vir.Vtype.F32, 4 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.F
-            ( F32,
-              [|
-                Int32.float_of_bits (Bytes.get_int32_le r.data off);
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 4));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 8));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 12));
-              |] )
-        | false -> load m ty addr)
-    | Vir.Vtype.F32, 8 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.F
-            ( F32,
-              [|
-                Int32.float_of_bits (Bytes.get_int32_le r.data off);
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 4));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 8));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 12));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 16));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 20));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 24));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 28));
-              |] )
-        | false -> load m ty addr)
-    | Vir.Vtype.F64, 2 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.F
-            ( F64,
-              [|
-                Int64.float_of_bits (Bytes.get_int64_le r.data off);
-                Int64.float_of_bits (Bytes.get_int64_le r.data (off + 8));
-              |] )
-        | false -> load m ty addr)
-    | Vir.Vtype.F64, 4 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.F
-            ( F64,
-              [|
-                Int64.float_of_bits (Bytes.get_int64_le r.data off);
-                Int64.float_of_bits (Bytes.get_int64_le r.data (off + 8));
-                Int64.float_of_bits (Bytes.get_int64_le r.data (off + 16));
-                Int64.float_of_bits (Bytes.get_int64_le r.data (off + 24));
-              |] )
-        | false -> load m ty addr)
-    | Vir.Vtype.I32, 4 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.I (I32, Ilanes.of_array [|
-                Int64.of_int32 (Bytes.get_int32_le r.data off);
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 4));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 8));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 12));
-              |])
-        | false -> load m ty addr)
-    | Vir.Vtype.I32, 8 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.I (I32, Ilanes.of_array [|
-                Int64.of_int32 (Bytes.get_int32_le r.data off);
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 4));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 8));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 12));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 16));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 20));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 24));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 28));
-              |])
-        | false -> load m ty addr)
-    | Vir.Vtype.I64, 2 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.I (I64, Ilanes.of_array [|
-                Bytes.get_int64_le r.data off;
-                Bytes.get_int64_le r.data (off + 8);
-              |])
-        | false -> load m ty addr)
-    | Vir.Vtype.I64, 4 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.I (I64, Ilanes.of_array [|
-                Bytes.get_int64_le r.data off;
-                Bytes.get_int64_le r.data (off + 8);
-                Bytes.get_int64_le r.data (off + 16);
-                Bytes.get_int64_le r.data (off + 24);
-              |])
-        | false -> load m ty addr)
-    | _ ->
-      if Vir.Vtype.is_float_scalar s then
-        fun m addr ->
-          (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-          | true ->
-            let out = Array.make n 0.0 in
-            for i = 0 to n - 1 do
-              Array.unsafe_set out i
-                (read_lane_float s r.data (off + (i * sb)))
-            done;
-            Vvalue.F (s, out)
-          | false -> load m ty addr)
-      else
-        fun m addr ->
-          (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-          | true ->
-            let out = Ilanes.make n 0L in
-            for i = 0 to n - 1 do
-              Ilanes.unsafe_set out i (read_lane_int s r.data (off + (i * sb)))
-            done;
-            Vvalue.I (s, out)
-          | false -> load m ty addr))
+let store_scalar_float m s addr x =
+  let sb = Vir.Vtype.scalar_bytes s in
+  let r = region_at m addr ~bytes:sb in
+  let off = reg_off r addr in
+  touch r off sb;
+  write_lane_float s r.data off x
 
-(* Destination-passing variant of [loader]: writes the loaded lanes
-   straight into the destination register's pinned buffer instead of
-   allocating a fresh value. The bounds check happens before the first
-   write (and the region-straddling fallback goes through [load], which
-   traps before the copy), so a trapping load leaves the destination
-   untouched. A shape-mismatched destination — only reachable through a
+let[@inline] lane_addr addr sb i = Int64.add addr (Int64.of_int (i * sb))
+
+(* Sentinel for "no mask" (every lane enabled), compared physically like
+   [no_region], so the unmasked paths neither allocate nor test lanes. *)
+let no_mask = Vvalue.I (Vir.Vtype.I1, Ilanes.make 0 0L)
+
+let[@inline] lane_on mask i = mask == no_mask || Vvalue.is_true_lane mask i
+
+(* Fill [out]'s lanes from the span at [addr]: enabled lanes decode,
+   disabled lanes read as zero without touching memory (AVX maskload
+   semantics — a masked-off lane may point out of bounds without
+   trapping). A span inside one region (the common foreach-tail case) is
+   resolved once and read at integer offsets; any other span reads every
+   enabled lane through its own bounds check, so the trap names the
+   first out-of-bounds enabled lane. Lanes are written as they load. *)
+let load_lanes m s addr ~mask (out : Vvalue.t) =
+  let sb = Vir.Vtype.scalar_bytes s in
+  let n = Vvalue.lanes out in
+  let r = range_region m addr ~bytes:(n * sb) in
+  let off = reg_off r addr in
+  match out with
+  | Vvalue.F (_, o) when Vir.Vtype.is_float_scalar s ->
+    for i = 0 to n - 1 do
+      Array.unsafe_set o i
+        (if not (lane_on mask i) then 0.0
+         else if r != no_region then read_lane_float s r.data (off + (i * sb))
+         else load_scalar_float m s (lane_addr addr sb i))
+    done
+  | Vvalue.I (_, o) when not (Vir.Vtype.is_float_scalar s) ->
+    for i = 0 to n - 1 do
+      Ilanes.unsafe_set o i
+        (if not (lane_on mask i) then 0L
+         else if r != no_region then read_lane_int s r.data (off + (i * sb))
+         else load_scalar_int m s (lane_addr addr sb i))
+    done
+  | _ -> invalid_arg "Memory.masked_load_into: shape mismatch"
+
+(* Pre-specialized destination-passing load for a statically known
+   access type: the threading stage builds one per load site, so the
+   per-access work is region lookup plus codec calls, with the type
+   dispatch done once here. The loaded lanes go straight into the
+   destination register's pinned buffer. The bounds check happens before
+   the first write, and a span not inside one region loads lane by lane
+   into a fresh value that is copied in only once every lane has loaded,
+   so a trapping load leaves the destination untouched. A
+   shape-mismatched destination — only reachable through a
    kind-confused extern result — raises. *)
 let bad_into () = invalid_arg "Memory.loader_into: shape mismatch"
 
 let loader_into (ty : Vir.Vtype.t) : t -> int64 -> Vvalue.t -> unit =
   match ty with
   | Vir.Vtype.Void -> invalid_arg "Memory.load: void"
-  | Vir.Vtype.Scalar s -> (
-    match s with
-    | I1 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:1 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.I (_, o) ->
-          Ilanes.unsafe_set o 0
-            (if Bytes.get r.data off = '\000' then 0L else 1L)
-        | _ -> bad_into ())
-    | I8 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:1 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.I (_, o) ->
-          Ilanes.unsafe_set o 0
-            (Int64.of_int (Char.code (Bytes.get r.data off) lsl 56 asr 56))
-        | _ -> bad_into ())
-    | I32 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.I (_, o) ->
-          Ilanes.unsafe_set o 0 (Int64.of_int32 (Bytes.get_int32_le r.data off))
-        | _ -> bad_into ())
-    | I64 | Ptr ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.I (_, o) -> Ilanes.unsafe_set o 0 (Bytes.get_int64_le r.data off)
-        | _ -> bad_into ())
-    | F32 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.F (_, o) ->
-          o.(0) <- Int32.float_of_bits (Bytes.get_int32_le r.data off)
-        | _ -> bad_into ())
-    | F64 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.F (_, o) ->
-          o.(0) <- Int64.float_of_bits (Bytes.get_int64_le r.data off)
-        | _ -> bad_into ()))
+  | Vir.Vtype.Scalar s when Vir.Vtype.is_float_scalar s ->
+    fun m addr out ->
+      let x = load_scalar_float m s addr in
+      (match out with Vvalue.F (_, o) -> o.(0) <- x | _ -> bad_into ())
+  | Vir.Vtype.Scalar s ->
+    fun m addr out ->
+      let x = load_scalar_int m s addr in
+      (match out with
+      | Vvalue.I (_, o) -> Ilanes.unsafe_set o 0 x
+      | _ -> bad_into ())
   | Vir.Vtype.Vector (n, s) -> (
     let sb = Vir.Vtype.scalar_bytes s in
     let bytes = n * sb in
-    (* Monomorphic per-kind lane loops: the byte decode is inlined, so
-       the in-region fast path is region lookup plus raw byte moves. *)
+    let straddle m addr out =
+      let v = Vvalue.zero_of_ty ty in
+      load_lanes m s addr ~mask:no_mask v;
+      Vvalue.copy_into ~dst:out v
+    in
     match s with
-    | Vir.Vtype.F32 ->
+    | I64 | Ptr ->
       fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
-        | Vvalue.F (_, o) when r != no_region ->
-          for i = 0 to n - 1 do
-            o.(i) <-
-              Int32.float_of_bits (Bytes.get_int32_le r.data (off + (i * 4)))
-          done
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
-        | _ -> bad_into ())
-    | Vir.Vtype.F64 ->
-      fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
-        | Vvalue.F (_, o) when r != no_region ->
-          for i = 0 to n - 1 do
-            o.(i) <-
-              Int64.float_of_bits (Bytes.get_int64_le r.data (off + (i * 8)))
-          done
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
-        | _ -> bad_into ())
-    | Vir.Vtype.I32 ->
-      fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
-        | Vvalue.I (_, o) when r != no_region ->
-          for i = 0 to n - 1 do
-            Ilanes.unsafe_set o i
-              (Int64.of_int32 (Bytes.get_int32_le r.data (off + (i * 4))))
-          done
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
-        | _ -> bad_into ())
-    | Vir.Vtype.I64 | Vir.Vtype.Ptr ->
-      fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
+        let r = range_region m addr ~bytes in
+        (match out with
         | Vvalue.I (_, o) when r != no_region ->
           (* lane buffers are 8-byte little-endian words, same encoding
              as memory: a vector of I64/Ptr lanes is one byte blit *)
-          Bytes.blit r.data off o 0 (n * 8)
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
+          Bytes.blit r.data (reg_off r addr) o 0 bytes
+        | _ when r == no_region -> straddle m addr out
         | _ -> bad_into ())
-    | Vir.Vtype.I1 | Vir.Vtype.I8 ->
+    | F32 | F64 ->
       fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
+        let r = range_region m addr ~bytes in
+        let off = reg_off r addr in
+        (match out with
+        | Vvalue.F (_, o) when r != no_region ->
+          for i = 0 to n - 1 do
+            o.(i) <- read_lane_float s r.data (off + (i * sb))
+          done
+        | _ when r == no_region -> straddle m addr out
+        | _ -> bad_into ())
+    | I1 | I8 | I32 ->
+      fun m addr out ->
+        let r = range_region m addr ~bytes in
+        let off = reg_off r addr in
+        (match out with
         | Vvalue.I (_, o) when r != no_region ->
           for i = 0 to n - 1 do
             Ilanes.unsafe_set o i (read_lane_int s r.data (off + (i * sb)))
           done
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
+        | _ when r == no_region -> straddle m addr out
         | _ -> bad_into ()))
 
-(* Pre-specialized unmasked store for a statically known operand type
-   (the VIR verifier guarantees the stored value has that type; masked
-   stores go through [store ~mask]). Identical semantics to [store]. *)
-let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
-  match ty with
-  | Vir.Vtype.Void -> invalid_arg "Memory.storer: void"
-  | Vir.Vtype.Scalar s -> (
-    match s with
-    | I32 ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.I (_, a) when Ilanes.length a = 1 ->
-          let x = Ilanes.unsafe_get a 0 in
-          touch r off 4;
-          Bytes.set_int32_le r.data off (Int64.to_int32 x)
-        | _ -> store_scalar m I32 addr (Vvalue.as_int v) 0.0)
-    | I64 ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.I (_, a) when Ilanes.length a = 1 ->
-          let x = Ilanes.unsafe_get a 0 in
-          touch r off 8;
-          Bytes.set_int64_le r.data off x
-        | _ -> store_scalar m I64 addr (Vvalue.as_int v) 0.0)
-    | Ptr ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.I (_, a) when Ilanes.length a = 1 ->
-          let x = Ilanes.unsafe_get a 0 in
-          touch r off 8;
-          Bytes.set_int64_le r.data off x
-        | _ -> store_scalar m Ptr addr (Vvalue.as_int v) 0.0)
-    | F32 ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.F (_, [| x |]) ->
-          touch r off 4;
-          Bytes.set_int32_le r.data off (Int32.bits_of_float x)
-        | _ -> store_scalar m F32 addr 0L (Vvalue.as_float v))
-    | F64 ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.F (_, [| x |]) ->
-          touch r off 8;
-          Bytes.set_int64_le r.data off (Int64.bits_of_float x)
-        | _ -> store_scalar m F64 addr 0L (Vvalue.as_float v))
-    | I1 | I8 ->
-      fun m v addr ->
-        (match v with
-        | Vvalue.I (_, a) when Ilanes.length a = 1 ->
-          store_scalar m s addr (Ilanes.unsafe_get a 0) 0.0
-        | _ -> store_scalar m s addr (Vvalue.as_int v) 0.0))
-  | Vir.Vtype.Vector (n, s) -> (
-    let sb = Vir.Vtype.scalar_bytes s in
-    let bytes = n * sb in
-    match (s, n) with
-    | Vir.Vtype.F32, 4 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.F (_, l) when r != no_region && Array.length l = 4 ->
-          touch r off bytes;
-          Bytes.set_int32_le r.data off (Int32.bits_of_float l.(0));
-          Bytes.set_int32_le r.data (off + 4) (Int32.bits_of_float l.(1));
-          Bytes.set_int32_le r.data (off + 8) (Int32.bits_of_float l.(2));
-          Bytes.set_int32_le r.data (off + 12) (Int32.bits_of_float l.(3))
-        | _ -> store m v addr)
-    | Vir.Vtype.F32, 8 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.F (_, l) when r != no_region && Array.length l = 8 ->
-          touch r off bytes;
-          Bytes.set_int32_le r.data off (Int32.bits_of_float l.(0));
-          Bytes.set_int32_le r.data (off + 4) (Int32.bits_of_float l.(1));
-          Bytes.set_int32_le r.data (off + 8) (Int32.bits_of_float l.(2));
-          Bytes.set_int32_le r.data (off + 12) (Int32.bits_of_float l.(3));
-          Bytes.set_int32_le r.data (off + 16) (Int32.bits_of_float l.(4));
-          Bytes.set_int32_le r.data (off + 20) (Int32.bits_of_float l.(5));
-          Bytes.set_int32_le r.data (off + 24) (Int32.bits_of_float l.(6));
-          Bytes.set_int32_le r.data (off + 28) (Int32.bits_of_float l.(7))
-        | _ -> store m v addr)
-    | Vir.Vtype.F64, 2 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.F (_, l) when r != no_region && Array.length l = 2 ->
-          touch r off bytes;
-          Bytes.set_int64_le r.data off (Int64.bits_of_float l.(0));
-          Bytes.set_int64_le r.data (off + 8) (Int64.bits_of_float l.(1))
-        | _ -> store m v addr)
-    | Vir.Vtype.F64, 4 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.F (_, l) when r != no_region && Array.length l = 4 ->
-          touch r off bytes;
-          Bytes.set_int64_le r.data off (Int64.bits_of_float l.(0));
-          Bytes.set_int64_le r.data (off + 8) (Int64.bits_of_float l.(1));
-          Bytes.set_int64_le r.data (off + 16) (Int64.bits_of_float l.(2));
-          Bytes.set_int64_le r.data (off + 24) (Int64.bits_of_float l.(3))
-        | _ -> store m v addr)
-    | Vir.Vtype.I32, 4 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 4 ->
-          touch r off bytes;
-          Bytes.set_int32_le r.data off (Int64.to_int32 (Ilanes.unsafe_get l 0));
-          Bytes.set_int32_le r.data (off + 4) (Int64.to_int32 (Ilanes.unsafe_get l 1));
-          Bytes.set_int32_le r.data (off + 8) (Int64.to_int32 (Ilanes.unsafe_get l 2));
-          Bytes.set_int32_le r.data (off + 12) (Int64.to_int32 (Ilanes.unsafe_get l 3))
-        | _ -> store m v addr)
-    | Vir.Vtype.I32, 8 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 8 ->
-          touch r off bytes;
-          Bytes.set_int32_le r.data off (Int64.to_int32 (Ilanes.unsafe_get l 0));
-          Bytes.set_int32_le r.data (off + 4) (Int64.to_int32 (Ilanes.unsafe_get l 1));
-          Bytes.set_int32_le r.data (off + 8) (Int64.to_int32 (Ilanes.unsafe_get l 2));
-          Bytes.set_int32_le r.data (off + 12) (Int64.to_int32 (Ilanes.unsafe_get l 3));
-          Bytes.set_int32_le r.data (off + 16) (Int64.to_int32 (Ilanes.unsafe_get l 4));
-          Bytes.set_int32_le r.data (off + 20) (Int64.to_int32 (Ilanes.unsafe_get l 5));
-          Bytes.set_int32_le r.data (off + 24) (Int64.to_int32 (Ilanes.unsafe_get l 6));
-          Bytes.set_int32_le r.data (off + 28) (Int64.to_int32 (Ilanes.unsafe_get l 7))
-        | _ -> store m v addr)
-    | Vir.Vtype.I64, 2 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 2 ->
-          touch r off bytes;
-          Bytes.set_int64_le r.data off (Ilanes.unsafe_get l 0);
-          Bytes.set_int64_le r.data (off + 8) (Ilanes.unsafe_get l 1)
-        | _ -> store m v addr)
-    | Vir.Vtype.I64, 4 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 4 ->
-          touch r off bytes;
-          Bytes.set_int64_le r.data off (Ilanes.unsafe_get l 0);
-          Bytes.set_int64_le r.data (off + 8) (Ilanes.unsafe_get l 1);
-          Bytes.set_int64_le r.data (off + 16) (Ilanes.unsafe_get l 2);
-          Bytes.set_int64_le r.data (off + 24) (Ilanes.unsafe_get l 3)
-        | _ -> store m v addr)
-    | _ ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true -> (
-          touch r off bytes;
-          match v with
-          | Vvalue.I (_, lanes) ->
-            for i = 0 to n - 1 do
-              write_lane_int s r.data (off + (i * sb)) (Ilanes.unsafe_get lanes i)
-            done
-          | Vvalue.F (_, lanes) ->
-            for i = 0 to n - 1 do
-              write_lane_float s r.data (off + (i * sb)) lanes.(i)
-            done)
-        | false -> store m v addr))
-
-(* Masked load: disabled lanes read as zero without touching memory
-   (matching AVX maskload semantics). *)
-let masked_load m (ty : Vir.Vtype.t) addr ~mask : Vvalue.t =
-  match ty with
-  | Vir.Vtype.Vector (n, s) ->
-    let step = Int64.of_int (Vir.Vtype.scalar_bytes s) in
-    let lane_addr i = Int64.add addr (Int64.mul step (Int64.of_int i)) in
-    if Vir.Vtype.is_float_scalar s then
-      Vvalue.F
-        ( s,
-          Array.init n (fun i ->
-              if Vvalue.is_true_lane mask i then
-                match load_scalar m s (lane_addr i) with
-                | Vvalue.F (_, [| x |]) -> x
-                | _ -> assert false
-              else 0.0) )
-    else
-      Vvalue.I
-        ( s,
-          Ilanes.init n (fun i ->
-              if Vvalue.is_true_lane mask i then
-                match load_scalar m s (lane_addr i) with
-                | Vvalue.I (_, a) -> Ilanes.unsafe_get a 0
-                | _ -> assert false
-              else 0L) )
-  | _ -> invalid_arg "Memory.masked_load: scalar type"
+(* Load a (possibly vector) value of type [ty] from contiguous memory. *)
+let load m (ty : Vir.Vtype.t) addr : Vvalue.t =
+  let ld = loader_into ty in
+  let v = Vvalue.zero_of_ty ty in
+  ld m addr v;
+  v
 
 (* Destination-passing masked load: every lane of the destination is
    written (disabled lanes as zero, per AVX maskload), so no stale lane
-   survives in the pinned buffer. Enabled lanes that point out of
-   bounds trap exactly like [masked_load]. When the whole vector span
-   lies inside one region (the common foreach-tail case) the region is
-   resolved once and lanes are read at integer offsets, so the access
-   neither boxes per-lane [int64] addresses nor allocates region/offset
-   pairs; the per-lane fallback reproduces exact per-lane trap
-   addresses for straddling or partially out-of-bounds spans. *)
+   survives in the pinned buffer. *)
 let masked_load_into m (ty : Vir.Vtype.t) addr ~mask (out : Vvalue.t) =
-  match (ty, out) with
-  | Vir.Vtype.Vector (n, s), Vvalue.F (_, o)
-    when Vir.Vtype.is_float_scalar s -> (
-    let sb = Vir.Vtype.scalar_bytes s in
-    let r = range_region m addr ~bytes:(n * sb) in
-    let off = reg_off r addr in
-    match r != no_region with
-    | true ->
-      let data = r.data in
-      for i = 0 to n - 1 do
-        Array.unsafe_set o i
-          (if Vvalue.is_true_lane mask i then
-             read_lane_float s data (off + (i * sb))
-           else 0.0)
-      done
-    | false ->
-      let step = Int64.of_int sb in
-      for i = 0 to n - 1 do
-        o.(i) <-
-          (if Vvalue.is_true_lane mask i then
-             load_scalar_float m s
-               (Int64.add addr (Int64.mul step (Int64.of_int i)))
-           else 0.0)
-      done)
-  | Vir.Vtype.Vector (n, s), Vvalue.I (_, o)
-    when not (Vir.Vtype.is_float_scalar s) -> (
-    let sb = Vir.Vtype.scalar_bytes s in
-    let r = range_region m addr ~bytes:(n * sb) in
-    let off = reg_off r addr in
-    match r != no_region with
-    | true ->
-      let data = r.data in
-      for i = 0 to n - 1 do
-        Ilanes.unsafe_set o i
-          (if Vvalue.is_true_lane mask i then
-             read_lane_int s data (off + (i * sb))
-           else 0L)
-      done
-    | false ->
-      let step = Int64.of_int sb in
-      for i = 0 to n - 1 do
-        Ilanes.unsafe_set o i
-          (if Vvalue.is_true_lane mask i then
-             load_scalar_int m s
-               (Int64.add addr (Int64.mul step (Int64.of_int i)))
-           else 0L)
-      done)
-  | Vir.Vtype.Vector _, _ ->
-    invalid_arg "Memory.masked_load_into: shape mismatch"
-  | _ -> invalid_arg "Memory.masked_load: scalar type"
+  match ty with
+  | Vir.Vtype.Vector (_, s) -> load_lanes m s addr ~mask out
+  | Vir.Vtype.Void | Vir.Vtype.Scalar _ ->
+    invalid_arg "Memory.masked_load: scalar type"
 
-(* Typed bulk accessors used by the benchmark harness. Each resolves
-   the region once when the whole range is in bounds (the usual case);
-   otherwise the per-element path reproduces the per-element trap. *)
+let masked_load m (ty : Vir.Vtype.t) addr ~mask : Vvalue.t =
+  let v = Vvalue.zero_of_ty ty in
+  masked_load_into m ty addr ~mask v;
+  v
+
+(* Store a value to contiguous memory; [mask] (if given) disables lanes,
+   matching AVX maskstore semantics. A span inside one region is
+   resolved once and every enabled lane is written at its integer
+   offset, dirtying exactly the lane it writes — all of the span when
+   unmasked — so restore cost follows what was written. Any other span
+   stores each enabled lane through its own bounds check: the lanes
+   before the first out-of-bounds enabled lane land, and the trap names
+   that lane. *)
+let store ?(mask = no_mask) m (v : Vvalue.t) addr =
+  let s = Vvalue.scalar_kind v in
+  let sb = Vir.Vtype.scalar_bytes s in
+  let n = Vvalue.lanes v in
+  let r = range_region m addr ~bytes:(n * sb) in
+  let off = reg_off r addr in
+  match v with
+  | Vvalue.I (_, l) ->
+    for i = 0 to n - 1 do
+      if lane_on mask i then
+        if r != no_region then begin
+          touch r (off + (i * sb)) sb;
+          write_lane_int s r.data (off + (i * sb)) (Ilanes.unsafe_get l i)
+        end
+        else store_scalar_int m s (lane_addr addr sb i) (Ilanes.unsafe_get l i)
+    done
+  | Vvalue.F (_, l) ->
+    for i = 0 to n - 1 do
+      if lane_on mask i then
+        if r != no_region then begin
+          touch r (off + (i * sb)) sb;
+          write_lane_float s r.data (off + (i * sb)) (Array.unsafe_get l i)
+        end
+        else store_scalar_float m s (lane_addr addr sb i) (Array.unsafe_get l i)
+    done
+
+(* Pre-specialized unmasked store for a statically known operand type
+   (the VIR verifier guarantees the stored value has that type; masked
+   stores go through [store ~mask]): a span inside one region is dirtied
+   once and written lane by lane; a span leaving its region (or an
+   operand of the wrong lane count) goes through [store]. Identical
+   semantics to [store]. *)
+let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
+  match ty with
+  | Vir.Vtype.Void -> invalid_arg "Memory.storer: void"
+  | Vir.Vtype.Scalar s | Vir.Vtype.Vector (_, s) ->
+    let n = Vir.Vtype.lanes ty in
+    let sb = Vir.Vtype.scalar_bytes s in
+    let bytes = n * sb in
+    fun m v addr ->
+      let r = range_region m addr ~bytes in
+      let off = reg_off r addr in
+      (match v with
+      | Vvalue.I (_, l) when r != no_region && Ilanes.length l = n ->
+        touch r off bytes;
+        for i = 0 to n - 1 do
+          write_lane_int s r.data (off + (i * sb)) (Ilanes.unsafe_get l i)
+        done
+      | Vvalue.F (_, l) when r != no_region && Array.length l = n ->
+        touch r off bytes;
+        for i = 0 to n - 1 do
+          write_lane_float s r.data (off + (i * sb)) (Array.unsafe_get l i)
+        done
+      | _ -> store m v addr)
+
+(* Typed bulk accessors used by the benchmark harness: vector accesses
+   of the array's length, so the whole range is resolved once when in
+   bounds and otherwise the per-lane path reproduces the per-element
+   trap. [read_i32_array] decodes straight into its result: outputs are
+   read after every experiment, and a lane buffer in between would
+   double that allocation. *)
 
 let write_i32_array m base (xs : int array) =
-  let r = range_region m base ~bytes:(4 * Array.length xs) in
-    let off = reg_off r base in
-    match r != no_region with
-  | true ->
-    touch r off (4 * Array.length xs);
-    Array.iteri
-      (fun i x -> Bytes.set_int32_le r.data (off + (4 * i)) (Int32.of_int x))
-      xs
-  | false ->
-    Array.iteri
-      (fun i x ->
-        store_scalar m I32 (Int64.add base (Int64.of_int (4 * i)))
-          (Int64.of_int x) 0.0)
-      xs
+  store m
+    (Vvalue.I
+       (I32, Ilanes.init (Array.length xs) (fun i -> Int64.of_int xs.(i))))
+    base
 
 let read_i32_array m base n =
   let r = range_region m base ~bytes:(4 * n) in
-    let off = reg_off r base in
-    match r != no_region with
-  | true ->
-    Array.init n (fun i ->
-        Int32.to_int (Bytes.get_int32_le r.data (off + (4 * i))))
-  | false ->
-    Array.init n (fun i ->
-        match load_scalar m I32 (Int64.add base (Int64.of_int (4 * i))) with
-        | Vvalue.I (_, a) -> Int64.to_int (Ilanes.unsafe_get a 0)
-        | _ -> assert false)
+  let off = reg_off r base in
+  Array.init n (fun i ->
+      Int64.to_int
+        (if r != no_region then read_lane_int I32 r.data (off + (4 * i))
+         else load_scalar_int m I32 (lane_addr base 4 i)))
 
-let write_f32_array m base (xs : float array) =
-  let r = range_region m base ~bytes:(4 * Array.length xs) in
-    let off = reg_off r base in
-    match r != no_region with
-  | true ->
-    touch r off (4 * Array.length xs);
-    Array.iteri
-      (fun i x ->
-        Bytes.set_int32_le r.data (off + (4 * i)) (Int32.bits_of_float x))
-      xs
-  | false ->
-    Array.iteri
-      (fun i x ->
-        store_scalar m F32 (Int64.add base (Int64.of_int (4 * i))) 0L x)
-      xs
+let write_f32_array m base (xs : float array) = store m (Vvalue.F (F32, xs)) base
 
 let read_f32_array m base n =
-  let r = range_region m base ~bytes:(4 * n) in
-    let off = reg_off r base in
-    match r != no_region with
-  | true ->
-    Array.init n (fun i ->
-        Int32.float_of_bits (Bytes.get_int32_le r.data (off + (4 * i))))
-  | false ->
-    Array.init n (fun i ->
-        match load_scalar m F32 (Int64.add base (Int64.of_int (4 * i))) with
-        | Vvalue.F (_, [| x |]) -> x
-        | _ -> assert false)
+  match load m (Vir.Vtype.Vector (n, F32)) base with
+  | Vvalue.F (_, a) -> a
+  | Vvalue.I _ -> assert false

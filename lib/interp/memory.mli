@@ -51,11 +51,10 @@ val store : ?mask:Vvalue.t -> t -> Vvalue.t -> int64 -> unit
 
 (** Pre-specialized access routines for a statically known access type;
     the closure-threading stage builds one per load/store site so the
-    per-access work is region lookup plus raw byte moves, with the type
+    per-access work is region lookup plus the lane codec, with the type
     dispatch done once at compile time. Semantics identical to [load]
     and unmasked [store]. *)
 
-val loader : Vir.Vtype.t -> t -> int64 -> Vvalue.t
 val storer : Vir.Vtype.t -> t -> Vvalue.t -> int64 -> unit
 
 (** Destination-passing load: writes the loaded lanes into the given

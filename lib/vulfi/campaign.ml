@@ -148,6 +148,14 @@ let cell_of cfg (w : Workload.t) target category =
 let input_of (w : Workload.t) (ex : Seed.exp) =
   Seed.uniform ex.Seed.input_key w.Workload.w_inputs
 
+(* The 1-based injection site experiment [ex] draws among [dyn_sites]
+   live dynamic sites. The seed schedule (checkpoint plans), the
+   injection-order sort, every executor's faulty run and [finalize]'s
+   counters all draw through here: plans, resume order and the trace's
+   [ff_resumed]/[pruned] counters are only right while they agree. *)
+let site_of (ex : Seed.exp) ~dyn_sites =
+  1 + Seed.uniform ex.Seed.site_key dyn_sites
+
 let vacuous_benign =
   {
     Experiment.r_outcome = Outcome.Benign;
@@ -169,7 +177,7 @@ let schedule_sites cfg cell (w : Workload.t) ~input ~dyn_sites : int list =
       for e = 0 to cfg.experiments_per_campaign - 1 do
         let ex = Seed.experiment cell ~campaign:c ~experiment:e in
         if input_of w ex = input then
-          sites := (1 + Seed.uniform ex.Seed.site_key dyn_sites) :: !sites
+          sites := site_of ex ~dyn_sites :: !sites
       done
     done;
     List.rev !sites
@@ -218,11 +226,6 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
    experiments in injection order. *)
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
-(* The 1-based injection site experiment [ex] draws among [golden]'s
-   live dynamic sites. *)
-let site_of (golden : Experiment.golden) (ex : Seed.exp) =
-  1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
-
 (* Resolve one distinct input of a cell on [executor]: its golden run
    (for scheduling and accounting) and the faulty half every
    experiment on that input runs. [Checkpointed] builds the prepared
@@ -237,7 +240,10 @@ let resolve_input cfg cell (w : Workload.t) ~executor
     Experiment.golden * (Seed.exp -> Experiment.run_result) =
   let live (g : Experiment.golden) faulty (ex : Seed.exp) =
     if g.Experiment.g_dyn_sites = 0 then vacuous_benign
-    else faulty ~dynamic_site:(site_of g ex) ~seed:ex.Seed.bit_seed
+    else
+      faulty
+        ~dynamic_site:(site_of ex ~dyn_sites:g.Experiment.g_dyn_sites)
+        ~seed:ex.Seed.bit_seed
   in
   let golden_run () =
     Experiment.golden_run ~hooks:(hooks ()) ~respect_masks prepared ~input
@@ -381,9 +387,7 @@ let finalize cfg cell (prepared : Experiment.prepared) (w : Workload.t)
       match Hashtbl.find_opt plans input with
       | Some plan when Array.length plan > 0 ->
         let g : Experiment.golden = Hashtbl.find golden_cache input in
-        let site =
-          1 + Seed.uniform ex.Seed.site_key g.Experiment.g_dyn_sites
-        in
+        let site = site_of ex ~dyn_sites:g.Experiment.g_dyn_sites in
         if site >= plan.(0) then incr ff_resumed;
         (* Convergence-pruning opportunity: plan sites strictly after
            the injection site. Schedule-derived upper bounds, like the
@@ -480,7 +484,8 @@ let execution_order (executor : executor) (exps : Seed.exp array)
       Array.init n (fun e ->
           let g = goldens.(e) in
           let site =
-            if g.Experiment.g_dyn_sites = 0 then 0 else site_of g exps.(e)
+            if g.Experiment.g_dyn_sites = 0 then 0
+            else site_of exps.(e) ~dyn_sites:g.Experiment.g_dyn_sites
           in
           (g.Experiment.g_input, site, e))
     in

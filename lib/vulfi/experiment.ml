@@ -28,13 +28,9 @@ type prepared = {
 (* Peephole fusion of the compiled hot path. The pass only annotates
    (dynamic counts, fault-site numbering and traces are unchanged —
    see Passes.Fuse), so it is on by default even inside campaigns;
-   [VULFI_NO_FUSION=1] or clearing this ref disables it, which the CI
-   cross-check uses to diff fused against unfused runs. *)
-let fusion_enabled =
-  ref
-    (match Sys.getenv_opt "VULFI_NO_FUSION" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
+   [--no-fusion] clears this ref, which the CI cross-check uses to diff
+   fused against unfused runs. *)
+let fusion_enabled = ref true
 
 (* The list scheduler (Analysis.Sched via Passes.Schedule): reorders
    pure instructions between fences so single-use chains become
@@ -42,13 +38,9 @@ let fusion_enabled =
    trappable are fences nothing crosses, so dynamic counts, trap
    points, injected values and traces are unchanged (DESIGN.md,
    "Scheduler legality") — on by default even inside campaigns.
-   [VULFI_NO_SCHEDULE=1] / [--no-schedule] disables it for the CI
-   cross-check, mirroring [fusion_enabled]. *)
-let schedule_enabled =
-  ref
-    (match Sys.getenv_opt "VULFI_NO_SCHEDULE" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
+   [--no-schedule] clears this ref for the CI cross-check, mirroring
+   [fusion_enabled]. *)
+let schedule_enabled = ref true
 
 (* Build, select fault sites for [category], instrument, verify and
    compile a workload. [transform] optionally rewrites the module

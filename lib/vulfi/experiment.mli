@@ -25,9 +25,8 @@ type prepared = {
 (** Whether [prepare] annotates the instrumented module with peephole
     fusion chains before compiling ({!Passes.Fuse}). Fusion preserves
     dynamic counts, fault-site numbering and traces exactly, so it
-    defaults to [true] even inside campaigns; set the env var
-    [VULFI_NO_FUSION=1] (read at startup) or clear the ref to compare
-    fused against unfused runs. *)
+    defaults to [true] even inside campaigns; pass [--no-fusion] or
+    clear the ref to compare fused against unfused runs. *)
 val fusion_enabled : bool ref
 
 (** Whether [prepare] runs the list scheduler ({!Passes.Schedule}) over
@@ -35,8 +34,8 @@ val fusion_enabled : bool ref
     pure, non-trapping instructions between fences (injection calls,
     memory ops, every other trap point), so campaign results and traces
     are byte-identical with it on or off; it defaults to [true] even
-    inside campaigns. Set [VULFI_NO_SCHEDULE=1] (read at startup), pass
-    [--no-schedule], or clear the ref to compare. *)
+    inside campaigns. Pass [--no-schedule] or clear the ref to
+    compare. *)
 val schedule_enabled : bool ref
 
 (** [prepare ?transform w target category] builds the workload module,

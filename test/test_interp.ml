@@ -169,6 +169,229 @@ let test_memory_masked_oob_disabled_lanes () =
   check (Alcotest.float 0.0) "lane 1" 6.0 (Vvalue.float_lane v 1);
   check (Alcotest.float 0.0) "disabled lane" 0.0 (Vvalue.float_lane v 7)
 
+(* ---------------- Memory conformance ---------------- *)
+
+(* Every access path against a per-lane byte model: each scalar kind ×
+   lane count × placement (inside a region, straddling its end, far out
+   of bounds) × mask. The model keeps each region's bytes in a plain
+   [Bytes.t] and spells each lane encoding out byte by byte
+   (little-endian). Lanes are visited in order; the first enabled lane
+   not wholly inside a region traps at its own address, stores to the
+   lanes before it land, and disabled lanes are never touched (loads
+   read them as zero). A snapshot taken before the access and restored
+   after it must bring every region back to its pre-image, so each
+   write path dirties what it writes. *)
+
+type conf_path =
+  | Loader_into
+  | Load
+  | Masked_load_into
+  | Masked_load
+  | Storer
+  | Store
+  | Store_masked
+
+let conf_size = 80 (* region bytes: room for one 8 x 8-byte vector *)
+
+let conf_kinds = Vtype.[ I1; I8; I32; I64; Ptr; F32; F64 ]
+
+(* Lane value -> the raw bits the model stores (low [scalar_bytes]). *)
+let model_bits (v : Vvalue.t) i =
+  match v with
+  | Vvalue.I (Vtype.I1, l) -> if Interp.Ilanes.get l i = 0L then 0L else 1L
+  | Vvalue.I (_, l) -> Interp.Ilanes.get l i
+  | Vvalue.F (Vtype.F32, l) -> Int64.of_int32 (Int32.bits_of_float l.(i))
+  | Vvalue.F (_, l) -> Int64.bits_of_float l.(i)
+
+let model_read bytes off sb =
+  let x = ref 0L in
+  for b = sb - 1 downto 0 do
+    x := Int64.logor (Int64.shift_left !x 8)
+           (Int64.of_int (Char.code (Bytes.get bytes (off + b))))
+  done;
+  !x
+
+let model_write bytes off sb bits =
+  for b = 0 to sb - 1 do
+    Bytes.set bytes (off + b)
+      (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * b)) land 0xFF))
+  done
+
+let sign_extend bits width =
+  Int64.shift_right (Int64.shift_left bits (64 - width)) (64 - width)
+
+(* Raw lane bits (zero for disabled lanes) -> the value a load yields. *)
+let model_value (s : Vtype.scalar) (bits : int64 array) : Vvalue.t =
+  match s with
+  | Vtype.F32 ->
+    Vvalue.F (s, Array.map (fun b -> Int32.float_of_bits (Int64.to_int32 b)) bits)
+  | Vtype.F64 -> Vvalue.F (s, Array.map Int64.float_of_bits bits)
+  | _ ->
+    let dec b =
+      match s with
+      | Vtype.I1 -> if b = 0L then 0L else 1L
+      | Vtype.I8 -> sign_extend b 8
+      | Vtype.I32 -> sign_extend b 32
+      | _ -> b
+    in
+    Vvalue.I (s, Interp.Ilanes.of_array (Array.map dec bits))
+
+(* Random, kind-normalised lanes: store operands and stale destinations. *)
+let random_value rng (s : Vtype.scalar) n : Vvalue.t =
+  if Vtype.is_float_scalar s then
+    Vvalue.F
+      ( s,
+        Array.init n (fun _ ->
+            Bits.round_float s (Random.State.float rng 2e6 -. 1e6)) )
+  else
+    Vvalue.I
+      ( s,
+        Interp.Ilanes.init n (fun _ ->
+            Bits.truncate s
+              (Int64.logxor
+                 (Random.State.int64 rng Int64.max_int)
+                 (if Random.State.bool rng then Int64.min_int else 0L))) )
+
+let region_words bytes =
+  Array.init (conf_size / 4) (fun w ->
+      Int64.to_int (sign_extend (model_read bytes (4 * w) 4) 32))
+
+let conf_case rng path (s : Vtype.scalar) n placement =
+  let sb = Vtype.scalar_bytes s in
+  let m = Memory.create () in
+  let regions =
+    List.map
+      (fun name ->
+        let base = Memory.alloc m ~name ~bytes:conf_size in
+        let pre =
+          Bytes.init conf_size (fun _ -> Char.chr (Random.State.int rng 256))
+        in
+        Memory.write_i32_array m base (region_words pre);
+        (base, pre))
+      [ "a"; "b" ]
+  in
+  let model = List.map (fun (base, pre) -> (base, Bytes.copy pre)) regions in
+  let base = fst (List.nth regions (Random.State.int rng 2)) in
+  let addr =
+    match placement with
+    | `Inside ->
+      Int64.add base (Int64.of_int (Random.State.int rng (conf_size - (n * sb) + 1)))
+    | `Straddle ->
+      Int64.add base (Int64.of_int (conf_size - Random.State.int rng (n * sb)))
+    | `Far -> Int64.add 0xDEAD0000L (Int64.of_int (Random.State.int rng 256))
+  in
+  let lane_addr i = Int64.add addr (Int64.of_int (i * sb)) in
+  let locate a =
+    List.find_map
+      (fun (b, bytes) ->
+        let o = Int64.sub a b in
+        if o >= 0L && Int64.add o (Int64.of_int sb) <= Int64.of_int conf_size
+        then Some (bytes, Int64.to_int o)
+        else None)
+      model
+  in
+  let masked =
+    match path with
+    | Masked_load_into | Masked_load | Store_masked -> true
+    | _ -> false
+  in
+  let on =
+    if not masked then Array.make n true
+    else
+      match Random.State.int rng 4 with
+      | 0 -> Array.make n true
+      | 1 -> Array.make n false
+      (* the foreach tail: exactly the in-bounds lanes enabled *)
+      | 2 -> Array.init n (fun i -> locate (lane_addr i) <> None)
+      | _ -> Array.init n (fun _ -> Random.State.bool rng)
+  in
+  let mask =
+    Vvalue.I
+      (Vtype.I1, Interp.Ilanes.init n (fun i -> if on.(i) then 1L else 0L))
+  in
+  let ty = if n = 1 then Vtype.Scalar s else Vtype.Vector (n, s) in
+  let vty = Vtype.Vector (n, s) in
+  let is_store =
+    match path with Storer | Store | Store_masked -> true | _ -> false
+  in
+  let v = random_value rng s n in
+  (* The model's outcome: the trap address, or the loaded lane bits. *)
+  let exception Oob of int64 in
+  let loaded = Array.make n 0L in
+  let expect =
+    try
+      for i = 0 to n - 1 do
+        if on.(i) then
+          match locate (lane_addr i) with
+          | None -> raise (Oob (lane_addr i))
+          | Some (bytes, o) ->
+            if is_store then model_write bytes o sb (model_bits v i)
+            else loaded.(i) <- model_read bytes o sb
+      done;
+      None
+    with Oob a -> Some a
+  in
+  let dst = random_value rng s n in
+  let stale = Vvalue.copy dst in
+  let snap = Memory.snapshot m in
+  let got =
+    try
+      (match path with
+      | Loader_into -> Memory.loader_into ty m addr dst
+      | Load -> Vvalue.copy_into ~dst (Memory.load m ty addr)
+      | Masked_load_into -> Memory.masked_load_into m vty addr ~mask dst
+      | Masked_load -> Vvalue.copy_into ~dst (Memory.masked_load m vty addr ~mask)
+      | Storer -> Memory.storer ty m v addr
+      | Store -> Memory.store m v addr
+      | Store_masked -> Memory.store ~mask m v addr);
+      None
+    with Trap.Trap (Trap.Out_of_bounds a) -> Some a
+  in
+  let case =
+    Printf.sprintf "%s x%d %s at %s%+Ld" (Vtype.scalar_name s) n
+      (match placement with
+      | `Inside -> "inside" | `Straddle -> "straddle" | `Far -> "far")
+      (if placement = `Far then "0xDEAD0000" else "base")
+      (Int64.sub addr (if placement = `Far then 0xDEAD0000L else base))
+  in
+  check Alcotest.(option int64) (case ^ ": trap address") expect got;
+  if not is_store then begin
+    match got with
+    | None ->
+      Alcotest.(check bool) (case ^ ": loaded lanes") true
+        (Vvalue.equal (model_value s loaded) dst)
+    | Some _ ->
+      if path = Loader_into then
+        Alcotest.(check bool) (case ^ ": trapping load leaves dst") true
+          (Vvalue.equal stale dst)
+  end;
+  List.iter2
+    (fun (b, _) (_, bytes) ->
+      check Alcotest.(array int) (case ^ ": region bytes")
+        (region_words bytes) (Memory.read_i32_array m b (conf_size / 4)))
+    regions model;
+  Memory.restore m snap;
+  List.iter
+    (fun (b, pre) ->
+      check Alcotest.(array int) (case ^ ": restore rolls back")
+        (region_words pre) (Memory.read_i32_array m b (conf_size / 4)))
+    regions
+
+let test_memory_conformance path () =
+  let rng = Random.State.make [| 15; Hashtbl.hash path |] in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun placement ->
+              for _ = 1 to 4 do
+                conf_case rng path s n placement
+              done)
+            [ `Inside; `Straddle; `Far ])
+        [ 1; 2; 4; 8 ])
+    conf_kinds
+
 (* ---------------- Machine ---------------- *)
 
 let run_scale_add n =
@@ -466,7 +689,20 @@ let () =
           Alcotest.test_case "masked ops" `Quick test_memory_masked;
           Alcotest.test_case "masked load skips disabled OOB lanes" `Quick
             test_memory_masked_oob_disabled_lanes;
-        ] );
+        ]
+        @ List.map
+            (fun (name, path) ->
+              Alcotest.test_case ("conformance: " ^ name) `Quick
+                (test_memory_conformance path))
+            [
+              ("loader_into", Loader_into);
+              ("load", Load);
+              ("storer", Storer);
+              ("store", Store);
+              ("store ~mask", Store_masked);
+              ("masked_load_into", Masked_load_into);
+              ("masked_load", Masked_load);
+            ] );
       ( "machine",
         [
           Alcotest.test_case "scalar loop" `Quick test_machine_scalar_loop;
