@@ -6,11 +6,7 @@
      fig11    Fig 11   — SDC/Benign/Crash rates per benchmark/ISA/category
      fig12    Fig 12   — detector SDC-detection rates + overhead (micro)
      ablation          — design-choice ablations from DESIGN.md
-     speedup           — sequential vs parallel campaign wall-clock
-     timing            — Bechamel wall-clock benches
-
-     campaign          throughput of the four executors (legacy,
-                       checkpointed, fast-forward, converge-pruned)
+     interp            — VM throughput (M instr/s, B/instr)
 
    Default (no argument): everything at "quick" scale. Flags:
      -j N                     run campaigns on N domains (default 1)
@@ -71,8 +67,7 @@ let jobs = ref 1
    --prune-executor additionally terminates a faulty run at the first
    later checkpoint site whose machine state matches the golden run's;
    the default is the checkpointed executor. Output is bit-identical
-   across all four; the flags exist for cross-checks and the `campaign`
-   throughput comparison. *)
+   across all four; the flags exist for cross-checks. *)
 let executor = ref Vulfi.Campaign.Checkpointed
 
 let executor_flags =
@@ -568,42 +563,6 @@ let ablation () =
     [ ("with asserts", checked_src); ("without asserts", plain_src) ]
 
 (* ------------------------------------------------------------------ *)
-(* Sequential vs parallel campaign wall-clock                          *)
-
-let speedup () =
-  let cfg = campaign_config () in
-  (* -j N when given, else one domain per core *)
-  let par_jobs =
-    if !jobs > 1 then !jobs else max 2 (Domain.recommended_domain_count ())
-  in
-  header
-    (Printf.sprintf
-       "Campaign speedup: fig11 cell sweep at -j 1 vs -j %d on %d domain(s) \
-        of hardware"
-       par_jobs
-       (Domain.recommended_domain_count ()));
-  let cells = fig11_cells () in
-  let time jobs =
-    let t0 = Unix.gettimeofday () in
-    let r = Vulfi.Campaign.run_cells ~jobs cfg cells in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let r_seq, t_seq = time 1 in
-  let r_par, t_par = time par_jobs in
-  let exps rs =
-    List.fold_left
-      (fun n (r : Vulfi.Campaign.result) ->
-        n + r.Vulfi.Campaign.c_totals.Vulfi.Campaign.n_experiments)
-      0 rs
-  in
-  Printf.printf "-j 1      : %7.2f s   (%d cells, %d experiments)\n" t_seq
-    (List.length r_seq) (exps r_seq);
-  Printf.printf "-j %-2d     : %7.2f s   (%d cells, %d experiments)\n"
-    par_jobs t_par (List.length r_par) (exps r_par);
-  Printf.printf "speedup   : %6.2fx   results bit-identical: %b\n"
-    (t_seq /. t_par) (r_seq = r_par)
-
-(* ------------------------------------------------------------------ *)
 (* VM throughput: dynamic instructions per second                      *)
 
 (* Measures raw interpreter throughput per benchmark (uninstrumented,
@@ -815,235 +774,6 @@ let interp_bench () =
   Printf.printf "\nwrote BENCH_interp.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Campaign throughput: the four executors head to head                *)
-
-(* Runs the fig11 cell sweep four times — once per executor — over the
-   same shared pool settings, cross-checks that results and traces are
-   byte-identical across all four, and writes BENCH_campaign.json so
-   successive PRs can track end-to-end campaign throughput the way
-   BENCH_interp.json tracks raw VM throughput. *)
-let campaign_bench () =
-  let cfg = campaign_config () in
-  header
-    (Printf.sprintf
-       "Campaign throughput: legacy vs checkpointed vs fast-forward vs \
-        converge-pruned executor over the fig11 cell sweep (-j %d)"
-       !jobs);
-  let cells = fig11_cells () in
-  let sweep executor =
-    let buf = Buffer.create (1 lsl 16) in
-    let sink = Vulfi.Trace.to_buffer buf in
-    let t0 = Unix.gettimeofday () in
-    let results =
-      Vulfi.Campaign.run_cells ~sink ~executor ~jobs:!jobs cfg cells
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    Vulfi.Trace.close sink;
-    (results, Buffer.contents buf, dt)
-  in
-  let r_leg, tr_leg, t_leg = sweep Vulfi.Campaign.Legacy in
-  let r_ckpt, tr_ckpt, t_ckpt = sweep Vulfi.Campaign.Checkpointed in
-  let r_ff, tr_ff, t_ff = sweep Vulfi.Campaign.Fast_forward in
-  Vulfi.Experiment.reset_prune_stats ();
-  let r_pr, tr_pr, t_pr = sweep Vulfi.Campaign.Converge_pruned in
-  let prunes_performed, prune_checks_performed =
-    Vulfi.Experiment.prune_stats ()
-  in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 r_ckpt in
-  let n_exps =
-    sum (fun (r : Vulfi.Campaign.result) ->
-        r.Vulfi.Campaign.c_totals.Vulfi.Campaign.n_experiments)
-  in
-  let golden_runs =
-    sum (fun (r : Vulfi.Campaign.result) -> r.Vulfi.Campaign.c_golden_runs)
-  in
-  let golden_reused =
-    sum (fun (r : Vulfi.Campaign.result) -> r.Vulfi.Campaign.c_golden_reused)
-  in
-  let checkpoints =
-    sum (fun (r : Vulfi.Campaign.result) -> r.Vulfi.Campaign.c_checkpoints)
-  in
-  let ff_resumed =
-    sum (fun (r : Vulfi.Campaign.result) -> r.Vulfi.Campaign.c_ff_resumed)
-  in
-  let pruned =
-    sum (fun (r : Vulfi.Campaign.result) -> r.Vulfi.Campaign.c_pruned)
-  in
-  let prune_checks =
-    sum (fun (r : Vulfi.Campaign.result) -> r.Vulfi.Campaign.c_prune_checks)
-  in
-  let rate dt = if dt > 0.0 then float_of_int n_exps /. dt else 0.0 in
-  let speedup = if t_ckpt > 0.0 then t_leg /. t_ckpt else 0.0 in
-  let speedup_ff = if t_ff > 0.0 then t_ckpt /. t_ff else 0.0 in
-  let speedup_pruned = if t_pr > 0.0 then t_ff /. t_pr else 0.0 in
-  let results_identical =
-    r_leg = r_ckpt && r_ckpt = r_ff && r_ff = r_pr
-  in
-  let traces_identical =
-    String.equal tr_leg tr_ckpt
-    && String.equal tr_ckpt tr_ff
-    && String.equal tr_ff tr_pr
-  in
-  Printf.printf "cells: %d   experiments: %d\n" (List.length cells) n_exps;
-  Printf.printf "legacy         : %7.2f s  %8.1f experiments/s\n" t_leg
-    (rate t_leg);
-  Printf.printf "checkpointed   : %7.2f s  %8.1f experiments/s\n" t_ckpt
-    (rate t_ckpt);
-  Printf.printf "fast-forward   : %7.2f s  %8.1f experiments/s\n" t_ff
-    (rate t_ff);
-  Printf.printf "converge-pruned: %7.2f s  %8.1f experiments/s\n" t_pr
-    (rate t_pr);
-  Printf.printf
-    "speedup        : %6.2fx (ckpt/legacy)  %6.2fx (ff/ckpt)  %6.2fx \
-     (pruned/ff)\n"
-    speedup speedup_ff speedup_pruned;
-  Printf.printf
-    "golden runs %d (reused %d)   checkpoints %d (resumed %d)   prunable \
-     %d (pruned %d, %d of %d checks)\n"
-    golden_runs golden_reused checkpoints ff_resumed pruned
-    prunes_performed prune_checks_performed prune_checks;
-  Printf.printf "results identical: %b   traces identical: %b\n"
-    results_identical traces_identical;
-  let oc = open_out "BENCH_campaign.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"vulfi-campaign-bench-v3\",\n";
-  Printf.fprintf oc "  \"scale\": %S,\n"
-    (if scale_is_paper then "paper" else "quick");
-  Printf.fprintf oc "  \"jobs\": %d,\n" !jobs;
-  Printf.fprintf oc "  \"cells\": %d,\n" (List.length cells);
-  Printf.fprintf oc "  \"experiments\": %d,\n" n_exps;
-  Printf.fprintf oc "  \"golden_runs\": %d,\n" golden_runs;
-  Printf.fprintf oc "  \"golden_runs_eliminated\": %d,\n" golden_reused;
-  Printf.fprintf oc "  \"checkpoints\": %d,\n" checkpoints;
-  Printf.fprintf oc "  \"ff_resumed\": %d,\n" ff_resumed;
-  (* schedule-derived pruning opportunity vs what physically pruned *)
-  Printf.fprintf oc "  \"prunable_experiments\": %d,\n" pruned;
-  Printf.fprintf oc "  \"prune_checks_possible\": %d,\n" prune_checks;
-  Printf.fprintf oc "  \"prunes_performed\": %d,\n" prunes_performed;
-  Printf.fprintf oc "  \"prune_checks_performed\": %d,\n"
-    prune_checks_performed;
-  Printf.fprintf oc "  \"legacy_seconds\": %.3f,\n" t_leg;
-  Printf.fprintf oc "  \"checkpointed_seconds\": %.3f,\n" t_ckpt;
-  Printf.fprintf oc "  \"fastforward_seconds\": %.3f,\n" t_ff;
-  Printf.fprintf oc "  \"pruned_seconds\": %.3f,\n" t_pr;
-  Printf.fprintf oc "  \"legacy_experiments_per_s\": %.1f,\n" (rate t_leg);
-  Printf.fprintf oc "  \"checkpointed_experiments_per_s\": %.1f,\n"
-    (rate t_ckpt);
-  Printf.fprintf oc "  \"fastforward_experiments_per_s\": %.1f,\n"
-    (rate t_ff);
-  Printf.fprintf oc "  \"pruned_experiments_per_s\": %.1f,\n" (rate t_pr);
-  Printf.fprintf oc "  \"speedup\": %.3f,\n" speedup;
-  Printf.fprintf oc "  \"speedup_fastforward\": %.3f,\n" speedup_ff;
-  Printf.fprintf oc "  \"speedup_pruned\": %.3f,\n" speedup_pruned;
-  (* Pre-pruning reference point (PR 8 tree, this harness, quick scale,
-     right before the converge-pruned executor landed) so the pruning
-     before/after stays in the artifact. *)
-  Printf.fprintf oc
-    "  \"baseline_pre_prune\": {\"legacy_seconds\": 12.022, \
-     \"checkpointed_seconds\": 5.524, \"fastforward_seconds\": 3.694, \
-     \"speedup_fastforward\": 1.495},\n";
-  Printf.fprintf oc "  \"results_identical\": %b,\n" results_identical;
-  Printf.fprintf oc "  \"traces_identical\": %b\n" traces_identical;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "\nwrote BENCH_campaign.json\n";
-  if not (results_identical && traces_identical) then begin
-    Printf.eprintf
-      "campaign bench: executor outputs diverge (results %b, traces %b)\n"
-      results_identical traces_identical;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel wall-clock timing                                          *)
-
-let timing () =
-  let open Bechamel in
-  let open Toolkit in
-  header
-    "Wall-clock timing (Bechamel): detector overhead corroboration + VM \
-     throughput";
-  let run_workload (b : Benchmarks.Harness.benchmark) transform =
-    let w = b.Benchmarks.Harness.bench in
-    let m = transform (w.Vulfi.Workload.w_build Vir.Target.Avx) in
-    let code = Interp.Compile.compile_module m in
-    fun () ->
-      let st = Interp.Machine.create code in
-      let det = Detectors.Runtime.create () in
-      Detectors.Runtime.attach det st;
-      let args, _ = w.Vulfi.Workload.w_setup ~input:0 st in
-      ignore (Interp.Machine.run st w.Vulfi.Workload.w_fn args)
-  in
-  let id_transform m = m in
-  let with_detectors m =
-    ignore (Detectors.Foreach_invariants.run m);
-    m
-  in
-  let micro = Benchmarks.Registry.micro_benchmarks in
-  let tests =
-    List.concat_map
-      (fun (b : Benchmarks.Harness.benchmark) ->
-        let name = b.Benchmarks.Harness.bench.Vulfi.Workload.w_name in
-        [
-          Test.make ~name:(name ^ " plain")
-            (Staged.stage (run_workload b id_transform));
-          Test.make
-            ~name:(name ^ " +detector")
-            (Staged.stage (run_workload b with_detectors));
-        ])
-      micro
-    @ [
-        Test.make ~name:"stencil VM throughput"
-          (Staged.stage
-             (run_workload
-                (List.nth Benchmarks.Registry.paper_benchmarks 4)
-                id_transform));
-      ]
-  in
-  let test = Test.make_grouped ~name:"vulfi" tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let cfg_b =
-    Benchmark.cfg ~limit:5000 ~quota:(Time.second 1.0) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg_b [ Instance.monotonic_clock ] test in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        match Analyze.OLS.estimates ols with
-        | Some [ ns ] -> (name, ns) :: acc
-        | _ -> acc)
-      results []
-  in
-  List.iter
-    (fun (name, ns) -> Printf.printf "%-44s %14.1f ns/run\n" name ns)
-    (List.sort compare rows);
-  List.iter
-    (fun (b : Benchmarks.Harness.benchmark) ->
-      let name = b.Benchmarks.Harness.bench.Vulfi.Workload.w_name in
-      let find suffix = List.assoc_opt ("vulfi/" ^ name ^ suffix) rows in
-      match (find " plain", find " +detector") with
-      | Some p, Some d when p > 0.0 ->
-        Printf.printf "%-16s wall-clock detector overhead: %5.2f%%\n" name
-          (100.0 *. ((d -. p) /. p))
-      | _ -> ())
-    micro;
-  (* VM throughput: dynamic instructions per second on the stencil *)
-  (match List.assoc_opt "vulfi/stencil VM throughput" rows with
-  | Some ns when ns > 0.0 ->
-    let stencil = List.nth Benchmarks.Registry.paper_benchmarks 4 in
-    let dyn =
-      run_uninstrumented stencil Vir.Target.Avx 0
-    in
-    Printf.printf
-      "\nVM throughput: %.1f M dynamic instructions / second (stencil, \
-       %d instrs in %.2f ms)\n"
-      (float_of_int dyn /. ns *. 1000.0)
-      dyn (ns /. 1.0e6)
-  | _ -> ())
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   (* peel "-j N" / "--trace FILE" off the argument list; the rest are
@@ -1094,7 +824,7 @@ let () =
       parse_args []
         (Array.to_list (Array.sub Sys.argv 1 (Array.length Sys.argv - 1)))
     with
-    | [] -> [ "table1"; "fig10"; "fig11"; "fig12"; "ablation"; "timing" ]
+    | [] -> [ "table1"; "fig10"; "fig11"; "fig12"; "ablation" ]
     | cmds -> cmds
   in
   the_sink := Option.map Vulfi.Trace.to_file !trace_path;
@@ -1110,14 +840,11 @@ let () =
           | "fig11" -> fig11 ()
           | "fig12" -> fig12 ()
           | "ablation" -> ablation ()
-          | "speedup" -> speedup ()
-          | "timing" -> timing ()
           | "interp" -> interp_bench ()
-          | "campaign" -> campaign_bench ()
           | other ->
             Printf.eprintf
               "unknown experiment %S (try table1 fig10 fig11 fig12 ablation \
-               speedup timing interp campaign)\n"
+               interp)\n"
               other;
             exit 2)
         what);

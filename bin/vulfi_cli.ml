@@ -300,33 +300,16 @@ let campaign_cmd =
         seed = 0xC0FFEE;
       }
     in
-    let requested =
+    let executor =
       if legacy then Vulfi.Campaign.Legacy
       else if ff then Vulfi.Campaign.Fast_forward
       else if prune then Vulfi.Campaign.Converge_pruned
       else Vulfi.Campaign.Checkpointed
     in
-    let effective =
-      Vulfi.Campaign.effective_executor ~detectors:with_detectors requested
-    in
-    (* the header records the executor only when detectors degraded it,
-       so non-degraded traces stay byte-identical across executors *)
-    let header_executor =
-      if effective <> requested then
-        Some (Vulfi.Campaign.executor_name effective)
-      else None
-    in
-    let sink =
-      Option.map
-        (fun f ->
-          Vulfi.Trace.to_file ~timings:trace_timings ?executor:header_executor
-            f)
-        trace
-    in
+    let sink = Option.map (Vulfi.Trace.to_file ~timings:trace_timings) trace in
     Fun.protect
       ~finally:(fun () -> Option.iter Vulfi.Trace.close sink)
       (fun () ->
-        let executor = requested in
         (* one cell, so the cell-parallel driver runs it on one domain
            whatever -j says *)
         let campaign_run ?transform ?hooks cfg w target category =
@@ -401,11 +384,7 @@ let campaign_cmd =
                  counters) laid at the scheduled injection sites during \
                  one golden replay per input; each faulty run resumes \
                  from the nearest checkpoint at or before its site and \
-                 executes only the suffix. Bit-identical output; with \
-                 --detectors it degrades to the checkpointed executor \
-                 (detector state lives outside the machine), with a \
-                 stderr notice and the effective executor recorded in \
-                 the trace header.")
+                 executes only the suffix. Bit-identical output.")
   in
   let prune_arg =
     Arg.(value & flag & info [ "prune-executor" ]
@@ -414,9 +393,7 @@ let campaign_cmd =
                  (counters, call stack, live registers, dirty-span \
                  memory); a faulty run that re-converges with the \
                  golden run terminates immediately and splices the \
-                 golden outcome. Bit-identical output; with \
-                 --detectors it degrades to the checkpointed executor \
-                 like --ff-executor.")
+                 golden outcome. Bit-identical output.")
   in
   let no_fusion_arg =
     Arg.(value & flag & info [ "no-fusion" ]
@@ -470,6 +447,7 @@ let report_cmd =
       Printf.eprintf "%s: %s\n" file msg;
       exit 1
     | Ok replays ->
+      (* only old traces carry the field: see Report.header_executor *)
       (match Vulfi.Report.header_executor records with
       | Some e ->
         Printf.printf "effective executor: %s (degraded by detectors)\n" e

@@ -1,10 +1,8 @@
 (** Detector overhead measurement (Fig 12's "Avg. Overhead" series).
 
     Runs a workload with and without detector blocks inserted and
-    reports the dynamic-instruction overhead. Wall-clock overhead is
-    measured by the Bechamel benches in [bench/main.ml] on the same
-    pair of modules; dynamic instruction count is the deterministic
-    proxy used in tests. *)
+    reports the dynamic-instruction overhead: a deterministic proxy
+    for wall-clock overhead. *)
 
 type measurement = {
   plain_instrs : int;
@@ -56,8 +54,7 @@ let transform (set : detector_set) (m : Vir.Vmodule.t) : Vir.Vmodule.t =
 
 let run_once (w : Vulfi.Workload.t) (m : Vir.Vmodule.t) ~input : int =
   let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-  let det = Runtime.create () in
-  Runtime.attach det st;
+  Runtime.attach st;
   let args, _ = w.Vulfi.Workload.w_setup ~input st in
   ignore (Interp.Machine.run st w.Vulfi.Workload.w_fn args);
   Interp.Machine.dyn_count st

@@ -36,7 +36,7 @@ val apply : detector_set -> Vir.Vmodule.t -> int
 val transform : detector_set -> Vir.Vmodule.t -> Vir.Vmodule.t
 
 (** Measure the dynamic-instruction overhead of [set] on one workload
-    input (wall-clock overhead is measured by the Bechamel benches). *)
+    input. *)
 val measure :
   ?set:detector_set ->
   Vulfi.Workload.t ->

@@ -178,6 +178,12 @@ and state = {
           [Machine.reset] can re-arm a reused machine. *)
   mutable fuel : int;  (** remaining dynamic instructions; <0 = trap *)
   mutable dyn_vector : int;  (** executed vector instructions *)
+  mutable detections : int;
+      (** detector violations recorded by extern handlers. A handler
+          never writes it back into the computation, so, like the
+          dynamic counters, it is carried by checkpoints and compared
+          by [state_equal] rather than laid out in memory (an extra
+          region would shift every later bump-allocated address). *)
   mutable depth : int;  (** current call depth; reset per [run] *)
   mutable regs : Vvalue.t array;
       (** register frame of the running activation. Threaded closures
@@ -423,9 +429,16 @@ type frame_ckpt = {
   fc_frame : Vvalue.t array;
       (** the live pool frame, aliased — a checkpoint is bound to the
           machine that captured it *)
+  fc_live : int array;
+      (** the registers the continuation can read from this position
+          ([x_live] of the interrupted extern for the innermost
+          activation, [k_live] of the pending call for the others);
+          every other slot is dead there and is neither saved nor
+          restored *)
   fc_saved : Vvalue.t array;
-      (** deep copies of the registers; gap slots physically share
-          [default_value] and are skipped on restore *)
+      (** deep copies of the [fc_live] registers, aligned with it; gap
+          slots physically share [default_value] and are skipped on
+          restore *)
 }
 
 type checkpoint = {
@@ -433,36 +446,54 @@ type checkpoint = {
   ck_stack : frame_ckpt array;  (** outermost activation first *)
   ck_spent : int;  (** [budget0 - fuel] at capture *)
   ck_vec : int;  (** [dyn_vector] at capture *)
+  ck_detections : int;  (** [detections] at capture *)
 }
 
 let checkpoint_spent (ck : checkpoint) = ck.ck_spent
 
 type check = state -> tracked_frame list -> slot:int -> Vvalue.t list -> bool
 
+(* The registers live at a tracked position: the innermost activation
+   is at an extern step, every outer one at its pending call. *)
+let live_at (tf : tracked_frame) ~innermost =
+  match tf.tf_func.tblocks.(tf.tf_block).t_steps.(tf.tf_instr).s_kind with
+  | Kextern { x_live; _ } when innermost -> x_live
+  | Kcall { k_live; _ } when not innermost -> k_live
+  | _ -> invalid_arg "Compile.capture: not at a call step"
+
 (* The full machine state at a tracked extern step; [stack] is the
-   shadow call stack a [check] receives (innermost activation first). *)
+   shadow call stack a [check] receives (innermost activation first).
+   Only live registers are saved: pooled frames are never cleared, so
+   the continuation cannot tell a dead slot's content apart from the
+   garbage any other run leaves there. *)
 let capture (st : state) (stack : tracked_frame list) : checkpoint =
   let frames =
     Array.of_list
-      (List.rev_map
-         (fun tf ->
-           {
-             fc_func = tf.tf_func;
-             fc_block = tf.tf_block;
-             fc_instr = tf.tf_instr;
-             fc_frame = tf.tf_regs;
-             fc_saved =
-               Array.map
-                 (fun v -> if v == default_value then v else Vvalue.copy v)
-                 tf.tf_regs;
-           })
-         stack)
+      (List.rev
+         (List.mapi
+            (fun i tf ->
+              let live = live_at tf ~innermost:(i = 0) in
+              {
+                fc_func = tf.tf_func;
+                fc_block = tf.tf_block;
+                fc_instr = tf.tf_instr;
+                fc_frame = tf.tf_regs;
+                fc_live = live;
+                fc_saved =
+                  Array.map
+                    (fun r ->
+                      let v = tf.tf_regs.(r) in
+                      if v == default_value then v else Vvalue.copy v)
+                    live;
+              })
+            stack))
   in
   {
     ck_mem = Memory.snapshot st.mem;
     ck_stack = frames;
     ck_spent = st.budget0 - st.fuel;
     ck_vec = st.dyn_vector;
+    ck_detections = st.detections;
   }
 
 (* Finish one activation from a saved position: run the remainder of
@@ -509,10 +540,10 @@ let exec_cfunc_resume (st : state) (cf : cfunc) (regs : Vvalue.t array)
   | Ct_unreachable -> Trap.raise_ Trap.Unreachable_executed
 
 (* Exact machine-state comparison against a checkpoint, restricted to
-   what can influence the continuation: dynamic counters, the call
-   stack's (function, block, instruction) positions, the *live*
-   registers of each interrupted position (dead slots of pooled frames
-   hold garbage from unrelated runs), and memory over the union of the
+   what can influence the continuation or its result: dynamic and
+   detection counters, the call stack's (function, block, instruction)
+   positions, the *live* registers of each interrupted position (the
+   only ones a checkpoint saves), and memory over the union of the
    golden run's accumulated dirty spans [since] and the faulty run's
    own live dirty spans (every byte outside both is untouched since the
    shared post-setup image). Equality here implies the two executions
@@ -523,6 +554,7 @@ let state_equal (st : state) (stack : tracked_frame list)
     (ck : checkpoint) ~(since : Memory.spans) : bool =
   st.budget0 - st.fuel = ck.ck_spent
   && st.dyn_vector = ck.ck_vec
+  && st.detections = ck.ck_detections
   &&
   let n = Array.length ck.ck_stack in
   let frame_eq i (tf : tracked_frame) =
@@ -530,21 +562,9 @@ let state_equal (st : state) (stack : tracked_frame list)
     tf.tf_func == fc.fc_func
     && tf.tf_block = fc.fc_block
     && tf.tf_instr = fc.fc_instr
-    &&
-    let live =
-      match
-        fc.fc_func.tblocks.(fc.fc_block).t_steps.(fc.fc_instr).s_kind
-      with
-      | Kextern { x_live; _ } when i = n - 1 -> Some x_live
-      | Kcall { k_live; _ } when i < n - 1 -> Some k_live
-      | _ -> None
-    in
-    match live with
-    | None -> false
-    | Some live ->
-      Array.for_all
-        (fun r -> Vvalue.equal tf.tf_regs.(r) fc.fc_saved.(r))
-        live
+    && Array.for_all2
+         (fun r saved -> Vvalue.equal tf.tf_regs.(r) saved)
+         fc.fc_live fc.fc_saved
   in
   (* [stack] is innermost-first; [ck_stack] outermost-first. *)
   let rec frames_eq i = function
@@ -674,14 +694,14 @@ let exec_resume ?check (st : state) ~(budget : int) (ck : checkpoint) :
   st.budget0 <- budget;
   st.fuel <- budget - ck.ck_spent;
   st.dyn_vector <- ck.ck_vec;
+  st.detections <- ck.ck_detections;
   Array.iter
     (fun fr ->
-      let dst = fr.fc_frame and src = fr.fc_saved in
-      for k = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst k in
-        if d != default_value then
-          Vvalue.copy_into ~dst:d (Array.unsafe_get src k)
-      done)
+      Array.iteri
+        (fun j r ->
+          let d = fr.fc_frame.(r) in
+          if d != default_value then Vvalue.copy_into ~dst:d fr.fc_saved.(j))
+        fr.fc_live)
     ck.ck_stack;
   let n = Array.length ck.ck_stack in
   if n = 0 then invalid_arg "Compile.exec_resume: empty checkpoint stack";

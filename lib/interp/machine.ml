@@ -24,6 +24,7 @@ let create ?(budget = default_budget) ?(max_depth = 512)
     budget0 = budget;
     fuel = budget;
     dyn_vector = 0;
+    detections = 0;
     depth = 0;
     regs = [||];
     frames = Array.make (max_depth + 1) [||];
@@ -31,7 +32,8 @@ let create ?(budget = default_budget) ?(max_depth = 512)
     max_depth;
   }
 
-(* Re-arm an existing machine for another run: counters and budget come
+(* Re-arm an existing machine for another run: counters (detections
+   included) and budget come
    back to their just-created values while the expensive structures
    (memory image, frame pool, extern slots) are kept. Memory contents
    are NOT touched — pair with [Memory.restore] to roll those back.
@@ -47,6 +49,7 @@ let reset ?budget ?(spent = 0) (st : state) =
   st.Compile.budget0 <- b;
   st.Compile.fuel <- b - spent;
   st.Compile.dyn_vector <- 0;
+  st.Compile.detections <- 0;
   st.Compile.depth <- 0;
   st.Compile.regs <- [||]
 
@@ -66,6 +69,14 @@ let dyn_count (st : state) = st.Compile.budget0 - st.Compile.fuel
 (* Executed vector instructions (per the paper's definition: at least
    one vector operand or result); the dynamic counterpart of Fig 10. *)
 let dyn_vector_count (st : state) = st.Compile.dyn_vector
+
+(* Detector violations: extern handlers record them here, on the
+   machine, so checkpoints carry them and convergence checks compare
+   them exactly like the dynamic counters. *)
+let record_detection (st : state) =
+  st.Compile.detections <- st.Compile.detections + 1
+
+let detections (st : state) = st.Compile.detections
 
 (* Lane evaluators re-exported for the constant folder and the reference
    SPMD evaluator; the semantics live in {!Eval}. *)
@@ -143,7 +154,8 @@ let resume ?check ~budget (st : state) (ck : checkpoint) : Vvalue.t option =
 let capture = Compile.capture
 
 (* Exact machine-state equality against a golden checkpoint captured at
-   the same dynamic site: counters, call-stack positions, live
+   the same dynamic site: dynamic and detection counters, call-stack
+   positions, live
    registers, and memory restricted to the union of [since] (the golden
    run's accumulated dirty spans up to the checkpoint) and this
    machine's own live dirty spans. [true] implies the continuation of

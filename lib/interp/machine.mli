@@ -16,7 +16,7 @@ val create : ?budget:int -> ?max_depth:int -> Compile.cmodule -> state
 
 (** Re-arm an existing machine for another run: resets the fuel budget
     (to [budget] when given, else to the machine's current budget) and
-    the dynamic counters, while keeping the compiled code, memory,
+    the dynamic and detection counters, while keeping the compiled code, memory,
     frame pool and extern registrations. Memory {e contents} are not
     touched — pair with {!Memory.restore} to roll those back.
 
@@ -42,6 +42,16 @@ val dyn_count : state -> int
     result) — the dynamic counterpart of the paper's Fig 10 census. *)
 val dyn_vector_count : state -> int
 
+(** Count one detector violation. Error-detector extern handlers call
+    this instead of keeping host-side state, so the count is machine
+    state: {!reset} zeroes it, checkpoints carry it and {!state_equal}
+    compares it. *)
+val record_detection : state -> unit
+
+(** Detector violations recorded since the last {!reset}; a {!resume}
+    restores the count its checkpoint captured. *)
+val detections : state -> int
+
 (** Lane evaluators, exposed for reuse by constant folding and the
     reference SPMD evaluator so semantics cannot drift. *)
 
@@ -63,7 +73,8 @@ val eval_cast : Vir.Instr.cast_op -> Vir.Vtype.t -> Vvalue.t -> Vvalue.t
     checkpoint, raising to end the run). *)
 
 (** An opaque full-machine checkpoint: memory image, live register
-    frames, call-stack positions and dynamic counters, captured at an
+    frames, call-stack positions, dynamic counters and the detection
+    count, captured at an
     extern-call boundary. It aliases the frame pool of the machine that
     captured it: resume it only on that machine. *)
 type checkpoint
@@ -118,7 +129,8 @@ val capture : state -> stack_view -> checkpoint
 
 (** [state_equal st stack ck ~since] — exact equality of the running
     machine against checkpoint [ck] (captured by the same machine at
-    the same dynamic site): dynamic counters, call-stack positions, the
+    the same dynamic site): dynamic and detection counters, call-stack
+    positions, the
     live registers of each interrupted activation, and memory compared
     only over the union of [since] (the golden run's accumulated dirty
     spans up to [ck]) and this run's own live dirty spans. A [true]

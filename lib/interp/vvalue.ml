@@ -56,9 +56,13 @@ let as_float v =
 
 let as_bool v = as_int v <> 0L
 
-let is_true_lane v i =
+(* Inline with the lane read unboxed: mask tests on the masked
+   load/store paths must not allocate. *)
+let[@inline] is_true_lane v i =
   match v with
-  | I (_, a) -> Ilanes.get a i <> 0L
+  | I (_, a) ->
+    if i < 0 || i >= Ilanes.length a then invalid_arg "Vvalue.is_true_lane";
+    Ilanes.unsafe_get a i <> 0L
   | F (_, a) -> a.(i) <> 0.0
 
 (* Build from a VIR constant. [undef] becomes zeros, which is

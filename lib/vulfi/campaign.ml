@@ -135,9 +135,9 @@ let crash_rate r = rate r.c_totals.n_crash r.c_totals.n_experiments
    the paper's "SDC detection rate" (Fig 12). *)
 let sdc_detection_rate r = rate r.c_totals.n_detected_sdc r.c_totals.n_sdc
 
-(* Detector hooks are stateful, so the campaign machinery takes a
-   factory and builds a fresh record per run — experiments never share
-   detector state, sequentially or across domains. *)
+(* The campaign machinery builds one hook record per resolved input
+   from this factory. Hooks keep no state (detections are machine
+   state), so every run on that input shares the record. *)
 type hooks_factory = unit -> Experiment.hooks
 
 let no_hooks_factory : hooks_factory = fun () -> Experiment.no_hooks
@@ -204,9 +204,6 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
    the cell's scheduled injection sites during one instrumented golden
    replay and resumes every faulty run from the nearest checkpoint at
    or before its site — only the post-injection suffix executes.
-   Detector hooks keep their state outside the machine, so cells with
-   detectors fall back to [Checkpointed] (a resumed run would skip the
-   prefix's detector activity).
 
    [Converge_pruned] rides the fast-forward machinery (same plans,
    same resume points, same execution order) and additionally runs
@@ -217,13 +214,13 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
    match, terminates immediately and splices the golden outcome. The
    splice is provably identical to running the suffix out (DESIGN.md,
    convergence soundness), so results and traces stay byte-identical.
-   It degrades to [Checkpointed] under detectors exactly as
-   [Fast_forward] does.
 
    The three non-legacy executors are settings of one faulty run,
    [Experiment.faulty_run_pruned] ([Checkpointed]: no checkpoints;
    [Fast_forward]: pruning off), and all three execute each campaign's
-   experiments in injection order. *)
+   experiments in injection order. Detector cells run on every one of
+   them: detections are machine state, so checkpoints carry them and
+   convergence checks compare them. *)
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
 (* Resolve one distinct input of a cell on [executor]: its golden run
@@ -238,6 +235,7 @@ type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 let resolve_input cfg cell (w : Workload.t) ~executor
     ~(hooks : hooks_factory) ~respect_masks ?fault_kind prepared ~input :
     Experiment.golden * (Seed.exp -> Experiment.run_result) =
+  let hooks = hooks () in
   let live (g : Experiment.golden) faulty (ex : Seed.exp) =
     if g.Experiment.g_dyn_sites = 0 then vacuous_benign
     else
@@ -246,7 +244,7 @@ let resolve_input cfg cell (w : Workload.t) ~executor
         ~seed:ex.Seed.bit_seed
   in
   let golden_run () =
-    Experiment.golden_run ~hooks:(hooks ()) ~respect_masks prepared ~input
+    Experiment.golden_run ~hooks ~respect_masks prepared ~input
   in
   match executor with
   | Legacy ->
@@ -255,13 +253,12 @@ let resolve_input cfg cell (w : Workload.t) ~executor
         let golden = golden_run () in
         live golden
           (fun ~dynamic_site ~seed ->
-            Experiment.faulty_run ~hooks:(hooks ()) ~respect_masks
-              ?fault_kind prepared ~golden ~dynamic_site ~seed)
+            Experiment.faulty_run ~hooks ~respect_masks ?fault_kind
+              prepared ~golden ~dynamic_site ~seed)
           ex )
   | Checkpointed | Fast_forward | Converge_pruned ->
     let pi =
-      Experiment.prepare_input ~hooks:(hooks ()) ~respect_masks prepared
-        ~input
+      Experiment.prepare_input ~hooks ~respect_masks prepared ~input
     in
     let g = pi.Experiment.pi_golden in
     let plan =
@@ -269,14 +266,13 @@ let resolve_input cfg cell (w : Workload.t) ~executor
       else plan_for cfg cell w ~input ~dyn_sites:g.Experiment.g_dyn_sites
     in
     let ff =
-      Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks prepared
-        ~pi ~plan
+      Experiment.lay_checkpoints ~hooks ~respect_masks prepared ~pi ~plan
     in
     let prune = executor = Converge_pruned in
     ( g,
       live g (fun ~dynamic_site ~seed ->
-          Experiment.faulty_run_pruned ~hooks:(hooks ()) ~respect_masks
-            ?fault_kind ~prune prepared ~ff ~dynamic_site ~seed) )
+          Experiment.faulty_run_pruned ~hooks ~respect_masks ?fault_kind
+            ~prune prepared ~ff ~dynamic_site ~seed) )
 
 (* Run [f], timing it only when the sink asked for wall times; the
    clock syscall is skipped entirely on the deterministic (default)
@@ -445,28 +441,9 @@ let executor_name = function
   | Fast_forward -> "fast-forward"
   | Converge_pruned -> "converge-pruned"
 
-(* Resolve the effective executor: detector hooks keep their state
-   outside the machine (violation counters in the host), so a resumed
-   run would miss the skipped prefix's detector activity — detector
-   cells degrade from [Fast_forward] (or [Converge_pruned], which rides
-   the same resume machinery) to [Checkpointed], with a once-per-process
-   stderr notice so the degradation is never silent. The effective
-   executor is also recorded in the trace header (see {!Trace.make})
-   and surfaced by [vulfi report]. Atomic: detector cells may resolve
-   their executor on any domain, and the notice prints exactly once. *)
-let degradation_noticed = Atomic.make false
-
-let effective_executor ~detectors (executor : executor) : executor =
-  match executor with
-  | (Fast_forward | Converge_pruned) when detectors ->
-    if Atomic.compare_and_set degradation_noticed false true then
-      Printf.eprintf
-        "vulfi: note: %s executor degrades to checkpointed when \
-         detectors are attached (detector state lives outside the \
-         machine and cannot be resumed)\n%!"
-        (executor_name executor);
-    Checkpointed
-  | e -> e
+(* Every executor runs detector cells as asked, so this is the
+   identity; the campaign benchmark still calls it. *)
+let effective_executor ~detectors:_ (executor : executor) = executor
 
 (* The order a campaign's experiments execute in: schedule order for
    the [Legacy] oracle; (input, injection site) order for the resume
@@ -554,7 +531,6 @@ let run ?transform ?hooks ?(respect_masks = true) ?fault_kind ?sink
     ?(executor = Checkpointed) (cfg : config) (w : Workload.t)
     (target : Vir.Target.t) (category : Analysis.Sites.category) : result =
   let detectors = Option.is_some hooks in
-  let executor = effective_executor ~detectors executor in
   let hooks = Option.value hooks ~default:no_hooks_factory in
   let r =
     run_cell ?transform ~hooks ~respect_masks ?fault_kind ~executor
@@ -576,7 +552,6 @@ let run_cells ?transform ?hooks ?(respect_masks = true) ?fault_kind ?sink
     (cells : (Workload.t * Vir.Target.t * Analysis.Sites.category) list) :
     result list =
   let detectors = Option.is_some hooks in
-  let executor = effective_executor ~detectors executor in
   let hooks = Option.value hooks ~default:no_hooks_factory in
   let timings = timings_of sink in
   let on_cell_lock = Mutex.create () in

@@ -83,9 +83,9 @@ val crash_rate : result -> float
     paper's "SDC detection rate" (Fig 12). *)
 val sdc_detection_rate : result -> float
 
-(** Detector hooks are stateful, so the campaign machinery takes a
-    factory and builds a fresh record for every run — experiments never
-    share detector state, sequentially or across domains. *)
+(** The campaign machinery builds one hook record per resolved input
+    from this factory; hooks keep no state (detections are machine
+    state), so every run on that input shares the record. *)
 type hooks_factory = unit -> Experiment.hooks
 
 (** The four executors a campaign can run on. All produce bit-identical
@@ -119,22 +119,18 @@ type hooks_factory = unit -> Experiment.hooks
     campaign's experiments in injection-sorted order (results and
     traces are emitted in experiment order regardless).
 
-    When detector hooks are attached, [Fast_forward] and
-    [Converge_pruned] degrade to [Checkpointed] — detector state lives
-    outside the machine and would not be restored by a checkpoint — with
-    a one-line stderr notice (once per process); the effective executor
-    is recorded in the trace header and shown by [vulfi report]. *)
+    Detector cells run on whichever executor they ask for: detections
+    are machine state ({!Interp.Machine.record_detection}), so
+    checkpoints carry them and convergence checks compare them. *)
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
 (** CLI/report-facing name of an executor ("legacy", "checkpointed",
     "fast-forward", "converge-pruned"). *)
 val executor_name : executor -> string
 
-(** [effective_executor ~detectors e] is the executor the drivers will
-    actually use: [e], except that [Fast_forward] and [Converge_pruned]
-    degrade to [Checkpointed] when [detectors] is true (with a
-    once-per-process stderr notice). Exposed so front-ends can record
-    the effective executor in trace headers. *)
+(** [effective_executor ~detectors e] is [e]: every executor runs
+    detector cells. Kept for the campaign benchmark ([perfbench/]),
+    which calls it. *)
 val effective_executor : detectors:bool -> executor -> executor
 
 (** [run cfg w target category] executes the campaign protocol for one

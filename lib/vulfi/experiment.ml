@@ -3,19 +3,12 @@
     that records the output and the number of dynamic fault sites, and a
     faulty run that flips one bit at a uniformly chosen dynamic site. *)
 
-(* Extra runtime surface (e.g. error detectors) to attach to machines. *)
-type hooks = {
-  h_attach : Interp.Machine.state -> unit;
-  h_flagged : unit -> bool;  (** did a detector fire during the run? *)
-  h_reset : unit -> unit;
-}
+(* Extra runtime surface (e.g. error detectors) to attach to machines.
+   Hooks keep no state: a detector counts its violations on the machine
+   ([Interp.Machine.record_detection]), where a run reads them back. *)
+type hooks = { h_attach : Interp.Machine.state -> unit }
 
-let no_hooks =
-  {
-    h_attach = (fun _ -> ());
-    h_flagged = (fun () -> false);
-    h_reset = (fun () -> ());
-  }
+let no_hooks = { h_attach = ignore }
 
 type prepared = {
   p_workload : Workload.t;
@@ -76,6 +69,7 @@ type golden = {
   g_output : Outcome.output;
   g_dyn_sites : int;   (** dynamic fault sites N *)
   g_dyn_instrs : int;  (** dynamic instructions, for budget + Table I *)
+  g_detected : bool;  (** a detector flagged the fault-free run *)
 }
 
 exception Golden_run_failed of string
@@ -87,7 +81,6 @@ let golden_run ?(hooks = no_hooks) ?(respect_masks = true) (p : prepared)
   let rt = Runtime.create ~respect_masks Runtime.Profile in
   let st = Interp.Machine.create p.p_code in
   Runtime.attach rt st;
-  hooks.h_reset ();
   hooks.h_attach st;
   let args, read_output =
     p.p_workload.Workload.w_setup ~input st
@@ -104,6 +97,7 @@ let golden_run ?(hooks = no_hooks) ?(respect_masks = true) (p : prepared)
     g_output = read_output ();
     g_dyn_sites = Runtime.dynamic_sites rt;
     g_dyn_instrs = Interp.Machine.dyn_count st;
+    g_detected = Interp.Machine.detections st > 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -138,7 +132,6 @@ let prepare_input ?(hooks = no_hooks) ?(respect_masks = true)
   let rt = Runtime.create ~respect_masks Runtime.Profile in
   let st = Interp.Machine.create p.p_code in
   Runtime.attach rt st;
-  hooks.h_reset ();
   hooks.h_attach st;
   let args, read_output = p.p_workload.Workload.w_setup ~input st in
   let snap = Interp.Memory.snapshot (Interp.Machine.memory st) in
@@ -156,6 +149,7 @@ let prepare_input ?(hooks = no_hooks) ?(respect_masks = true)
         g_output = read_output ();
         g_dyn_sites = Runtime.dynamic_sites rt;
         g_dyn_instrs = Interp.Machine.dyn_count st;
+        g_detected = Interp.Machine.detections st > 0;
       };
     pi_machine = st;
     pi_snapshot = snap;
@@ -188,7 +182,6 @@ let faulty_run ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
   let budget = fault_budget golden in
   let st = Interp.Machine.create ~budget p.p_code in
   Runtime.attach rt st;
-  hooks.h_reset ();
   hooks.h_attach st;
   let args, read_output =
     p.p_workload.Workload.w_setup ~input:golden.g_input st
@@ -204,7 +197,7 @@ let faulty_run ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
         ~tol:p.p_workload.Workload.w_out_tolerance
         ~golden:golden.g_output ~faulty ();
     r_injection = Runtime.injected rt;
-    r_detected = hooks.h_flagged ();
+    r_detected = Interp.Machine.detections st > 0;
     r_dyn_instrs = Interp.Machine.dyn_count st;
   }
 
@@ -288,7 +281,6 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
     Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
     Interp.Machine.reset ~budget:Interp.Machine.default_budget st;
     Runtime.attach rt st;
-    hooks.h_reset ();
     hooks.h_attach st;
     let inject_slots =
       List.filter_map
@@ -356,7 +348,7 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
    checkpoint retained at that site ({!Interp.Machine.state_equal}:
    counters, call stack, live registers, dirty-span-restricted memory).
    On a match the run terminates immediately and splices the golden
-   outcome — Benign, the golden dynamic counters, no detector flag —
+   outcome — Benign, the golden dynamic counters and detection flag —
    which is byte-identical to what running the suffix out would have
    produced (see DESIGN.md, convergence soundness). *)
 
@@ -410,7 +402,6 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
     Interp.Machine.reset ~budget st
   end;
   Runtime.attach rt st;
-  hooks.h_reset ();
   hooks.h_attach st;
   (* With nothing after the injection to compare against, tracked
      stepping would be pure overhead: the run goes untracked. *)
@@ -461,7 +452,7 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
           ~tol:p.p_workload.Workload.w_out_tolerance
           ~golden:golden.g_output ~faulty ();
       r_injection = Runtime.injected rt;
-      r_detected = hooks.h_flagged ();
+      r_detected = Interp.Machine.detections st > 0;
       r_dyn_instrs = Interp.Machine.dyn_count st;
     }
   in
@@ -477,14 +468,13 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
     (* Splice the golden completion: equal state at the check site
        means the rest of the run reads and writes exactly what the
        golden run did — outputs come back golden (Benign), the final
-       dynamic count equals the golden one, the injection record is
-       already live, and detectors cannot run under this executor
-       (detector campaigns degrade to the checkpointed tier). *)
+       dynamic and detection counts equal the golden ones, and the
+       injection record is already live. *)
     Atomic.incr prunes_performed;
     {
       r_outcome = Outcome.Benign;
       r_injection = Runtime.injected rt;
-      r_detected = hooks.h_flagged ();
+      r_detected = golden.g_detected;
       r_dyn_instrs = golden.g_dyn_instrs;
     }
 

@@ -2,14 +2,13 @@
     program on the same input (paper §IV-B): a fault-free profiling run
     and a faulty run with a single corruption at a chosen dynamic site. *)
 
-(** Extra runtime surface (e.g. error detectors) attached to machines. *)
-type hooks = {
-  h_attach : Interp.Machine.state -> unit;
-  h_flagged : unit -> bool;  (** did a detector fire during the run? *)
-  h_reset : unit -> unit;
-}
+(** Extra runtime surface (e.g. error detectors) attached to machines.
+    Hooks are stateless: detectors count violations on the machine
+    ({!Interp.Machine.record_detection}), and a run is flagged when
+    its machine's count is non-zero at the end. *)
+type hooks = { h_attach : Interp.Machine.state -> unit }
 
-(** Hooks that do nothing and never flag. *)
+(** Hooks that attach nothing. *)
 val no_hooks : hooks
 
 (** A workload built, instrumented for one site category, verified and
@@ -56,6 +55,9 @@ type golden = {
   g_output : Outcome.output;
   g_dyn_sites : int;  (** dynamic fault sites N *)
   g_dyn_instrs : int;  (** dynamic instructions, for budget + Table I *)
+  g_detected : bool;
+      (** a detector flagged the fault-free run (a converged faulty
+          run reports this, since its completion is the golden one) *)
 }
 
 (** Raised when the fault-free run itself traps (a workload bug). *)
@@ -167,9 +169,10 @@ val lay_checkpoints :
     image when there is none) and so executes only the post-injection
     suffix. With pruning on, the suffix runs under position tracking
     and is compared against the golden checkpoint at each later
-    checkpoint site ({!Interp.Machine.state_equal}: counters, call
-    stack, live registers, dirty-span-restricted memory); on a match
-    the run terminates immediately, splicing the golden outcome, which
+    checkpoint site ({!Interp.Machine.state_equal}: dynamic and
+    detection counters, call stack, live registers,
+    dirty-span-restricted memory); on a match the run terminates
+    immediately, splicing the golden outcome and detection flag, which
     is byte-identical to running the suffix out (DESIGN.md,
     convergence soundness). *)
 

@@ -108,9 +108,10 @@ let check_header = function
     in
     (rest, version)
 
-(* The header's optional [executor] field (v4) — present only when a
-   detector cell degraded the requested executor; [vulfi report] prints
-   it so the degradation stays visible after the fact. *)
+(* The header's optional [executor] field, found only in v4 traces
+   written while detector cells degraded the requested executor to the
+   checkpointed one; [vulfi report] still prints it for those traces.
+   Nothing writes the field any more. *)
 let header_executor (records : Json.t list) : string option =
   match records with
   | header :: _ -> (

@@ -43,7 +43,7 @@ type replay = {
     one. Returns [Error msg] on any schema violation. *)
 val replay_of_trace : Json.t list -> (replay list, string) result
 
-(** The header record's optional [executor] field (schema v4) — present
-    only when detector hooks degraded the requested executor; [None]
-    for older schemas or non-degraded traces. *)
+(** The header record's optional [executor] field, found only in v4
+    traces written while detector cells degraded the requested executor;
+    [None] for every other trace. Nothing writes the field any more. *)
 val header_executor : Json.t list -> string option

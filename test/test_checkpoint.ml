@@ -376,6 +376,8 @@ let check_runs_equal label (legacy : Vulfi.Experiment.run_result)
     (Vulfi.Outcome.to_string ff.Vulfi.Experiment.r_outcome);
   check Alcotest.int (label ^ ": dyn instrs")
     legacy.Vulfi.Experiment.r_dyn_instrs ff.Vulfi.Experiment.r_dyn_instrs;
+  check Alcotest.bool (label ^ ": detected")
+    legacy.Vulfi.Experiment.r_detected ff.Vulfi.Experiment.r_detected;
   match (legacy.Vulfi.Experiment.r_injection, ff.Vulfi.Experiment.r_injection)
   with
   | Some a, Some b ->
@@ -962,56 +964,146 @@ let test_campaign_executors_parallel_match () =
   check Alcotest.string "converge-pruned -j4 trace byte-identical" tr_legacy
     tr_pr_par
 
-(* Stateful detector hooks ride the cached machines: h_reset/h_attach
-   run per experiment on every executor, so Fig 12 numbers agree too.
-   Fast_forward and Converge_pruned must degrade to Checkpointed here —
-   detector state lives outside the machine, so a resume would skip the
-   prefix's detector activity (and a pruned splice its suffix's). The
-   degradation is announced on stderr and recorded by
-   [effective_executor]. *)
-let test_campaign_executors_match_with_detectors () =
-  let w = vcopy_workload [ 8; 16; 19 ] in
-  let transform =
-    Detectors.Overhead.transform Detectors.Overhead.paper_detectors
+(* One detector-hooked cell of [w] on every executor against the
+   paper protocol: results and trace bytes must match. Only the
+   converge-pruned run can prune, so [Experiment.prune_stats] counts
+   its physical prunes afterwards. *)
+let check_detector_cell label ~transform w category =
+  let run executor =
+    let buf = Buffer.create 4096 in
+    let sink = Vulfi.Trace.to_buffer buf in
+    let r =
+      Vulfi.Campaign.run ~transform ~hooks:Detectors.Runtime.hooks ~sink
+        ~executor tiny_config w Vir.Target.Avx category
+    in
+    Vulfi.Trace.close sink;
+    (r, Buffer.contents buf)
   in
-  let run_with executor =
-    Vulfi.Campaign.run ~transform ~hooks:Detectors.Runtime.hooks ~executor
-      tiny_config w Vir.Target.Avx Analysis.Sites.Control
-  in
-  let legacy = run_with Vulfi.Campaign.Legacy in
-  let ckpt = run_with Vulfi.Campaign.Checkpointed in
-  let ff = run_with Vulfi.Campaign.Fast_forward in
-  let pr = run_with Vulfi.Campaign.Converge_pruned in
-  check result_t "detector campaign: checkpointed == legacy" legacy ckpt;
-  check result_t "detector campaign: fast-forward (fallback) == legacy"
-    legacy ff;
-  check result_t "detector campaign: converge-pruned (fallback) == legacy"
-    legacy pr
-
-(* The degradation is visible, not silent: [effective_executor] maps the
-   resume-based executors to Checkpointed exactly when detectors are
-   attached, and leaves everything else alone. *)
-let test_effective_executor () =
-  let eff = Vulfi.Campaign.effective_executor in
+  let legacy, tr_legacy = run Vulfi.Campaign.Legacy in
   List.iter
-    (fun e ->
-      Alcotest.(check string)
-        "no detectors: identity"
-        (Vulfi.Campaign.executor_name e)
-        (Vulfi.Campaign.executor_name (eff ~detectors:false e)))
-    Vulfi.Campaign.
-      [ Legacy; Checkpointed; Fast_forward; Converge_pruned ];
-  Alcotest.(check string)
-    "detectors degrade fast-forward" "checkpointed"
-    (Vulfi.Campaign.executor_name
-       (eff ~detectors:true Vulfi.Campaign.Fast_forward));
-  Alcotest.(check string)
-    "detectors degrade converge-pruned" "checkpointed"
-    (Vulfi.Campaign.executor_name
-       (eff ~detectors:true Vulfi.Campaign.Converge_pruned));
-  Alcotest.(check string)
-    "detectors leave legacy alone" "legacy"
-    (Vulfi.Campaign.executor_name (eff ~detectors:true Vulfi.Campaign.Legacy))
+    (fun executor ->
+      let name = label ^ ": " ^ Vulfi.Campaign.executor_name executor in
+      let r, tr = run executor in
+      check result_t (name ^ " == legacy") legacy r;
+      check Alcotest.string (name ^ " trace byte-identical") tr_legacy tr)
+    Vulfi.Campaign.[ Checkpointed; Fast_forward; Converge_pruned ]
+
+(* Detector cells run the executor they ask for: detections are
+   machine state, so a resumed run carries the prefix's count and a
+   convergence check compares it. The converge-pruned run really
+   resumes and prunes rather than replaying every prefix. *)
+let test_campaign_executors_match_with_detectors () =
+  Vulfi.Experiment.reset_prune_stats ();
+  check_detector_cell "detector campaign"
+    ~transform:(Detectors.Overhead.transform Detectors.Overhead.paper_detectors)
+    (vcopy_workload [ 8; 16; 19 ])
+    Analysis.Sites.Control;
+  let hits, _ = Vulfi.Experiment.prune_stats () in
+  Alcotest.(check bool)
+    (Printf.sprintf "detector campaign: converge-pruned prunes (%d)" hits)
+    true (hits > 0)
+
+(* A program whose fault-free run flags: [v != 40] fails once, in lane
+   0 of the second AVX iteration (a1[8] = 40), after the first
+   iteration's injection sites. [v] feeds nothing but the assert, so a
+   fault on it can clear the violation and still leave registers and
+   memory converged with the golden run — only the compared detection
+   count tells the two apart. *)
+let late_assert_src =
+  "export void late_assert(uniform int a1[], uniform int a2[], uniform \
+   int n) { foreach (i = 0 ... n) { int v = a1[i]; assert(v != 40); \
+   a2[i] = a1[i] + 1; } }"
+
+let late_assert_workload =
+  {
+    (vcopy_workload [ 19 ]) with
+    Vulfi.Workload.w_name = "late_assert";
+    w_fn = "late_assert";
+    w_build = (fun target -> Minispc.Driver.compile target late_assert_src);
+    w_setup =
+      (fun ~input:_ st ->
+        let n = 19 in
+        let mem = Interp.Machine.memory st in
+        let a1 = Interp.Memory.alloc mem ~name:"a1" ~bytes:(4 * n) in
+        let a2 = Interp.Memory.alloc mem ~name:"a2" ~bytes:(4 * n) in
+        Interp.Memory.write_i32_array mem a1 (Array.init n (fun i -> i * 5));
+        ( [ Interp.Vvalue.of_ptr a1; Interp.Vvalue.of_ptr a2;
+            Interp.Vvalue.of_i32 n ],
+          fun () ->
+            {
+              Vulfi.Outcome.empty_output with
+              Vulfi.Outcome.o_i32 = [ Interp.Memory.read_i32_array mem a2 n ];
+            } ));
+  }
+
+(* Site by site, every category: the checkpointed, fast-forward and
+   converge-pruned runs report the legacy run's detection flag, both
+   where the fault leaves the golden violation standing and where it
+   clears it; then the four campaign executors agree. *)
+let test_golden_flagging_executors_match () =
+  let hooks = Detectors.Runtime.hooks () in
+  let w = late_assert_workload in
+  let cleared = ref 0 and standing = ref 0 in
+  Vulfi.Experiment.reset_prune_stats ();
+  List.iter
+    (fun category ->
+      let p = Vulfi.Experiment.prepare w Vir.Target.Avx category in
+      let pi = Vulfi.Experiment.prepare_input ~hooks p ~input:0 in
+      let g = pi.Vulfi.Experiment.pi_golden in
+      Alcotest.(check bool) "the fault-free run flags" true
+        g.Vulfi.Experiment.g_detected;
+      let n = g.Vulfi.Experiment.g_dyn_sites in
+      let ff =
+        Vulfi.Experiment.lay_checkpoints ~hooks p ~pi
+          ~plan:(Vulfi.Experiment.checkpoint_plan (List.init n (fun i -> i + 1)))
+      in
+      for k = 1 to n do
+        let seed = 3100 + k in
+        let label name =
+          Printf.sprintf "%s %s site %d"
+            (Analysis.Sites.category_name category)
+            name k
+        in
+        let legacy =
+          Vulfi.Experiment.faulty_run ~hooks p ~golden:g ~dynamic_site:k ~seed
+        in
+        if legacy.Vulfi.Experiment.r_detected then incr standing
+        else incr cleared;
+        check_runs_equal (label "checkpointed") legacy
+          (Vulfi.Experiment.faulty_run_checkpointed ~hooks p ~pi
+             ~dynamic_site:k ~seed);
+        check_runs_equal (label "fast-forward") legacy
+          (Vulfi.Experiment.faulty_run_pruned ~hooks ~prune:false p ~ff
+             ~dynamic_site:k ~seed);
+        check_runs_equal (label "converge-pruned") legacy
+          (Vulfi.Experiment.faulty_run_pruned ~hooks p ~ff ~dynamic_site:k
+             ~seed)
+      done)
+    Analysis.Sites.all_categories;
+  let hits, _ = Vulfi.Experiment.prune_stats () in
+  Alcotest.(check bool)
+    (Printf.sprintf "violation stands in some runs (%d), cleared in \
+                     others (%d), some runs pruned (%d)"
+       !standing !cleared hits)
+    true
+    (!standing > 0 && !cleared > 0 && hits > 0);
+  check_detector_cell "golden-flagging campaign" ~transform:Fun.id w
+    Analysis.Sites.Pure_data
+
+(* Every executor runs detector cells as asked: [effective_executor]
+   is the identity, with or without detectors. *)
+let test_effective_executor () =
+  List.iter
+    (fun detectors ->
+      List.iter
+        (fun e ->
+          Alcotest.(check string)
+            (Printf.sprintf "identity (detectors %b)" detectors)
+            (Vulfi.Campaign.executor_name e)
+            (Vulfi.Campaign.executor_name
+               (Vulfi.Campaign.effective_executor ~detectors e)))
+        Vulfi.Campaign.[ Legacy; Checkpointed; Fast_forward; Converge_pruned ])
+    [ false; true ]
 
 (* ---------------- stats + progress-line edges ---------------- *)
 
@@ -1102,6 +1194,8 @@ let () =
             test_campaign_executors_parallel_match;
           Alcotest.test_case "four executors match (detectors)" `Quick
             test_campaign_executors_match_with_detectors;
+          Alcotest.test_case "four executors match (golden run flags)"
+            `Quick test_golden_flagging_executors_match;
           Alcotest.test_case "effective executor under detectors" `Quick
             test_effective_executor;
         ] );

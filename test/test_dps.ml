@@ -280,6 +280,42 @@ let test_constants_survive_injection () =
   check Alcotest.int "dynamic instructions identical"
     g1.Vulfi.Experiment.g_dyn_instrs g2.Vulfi.Experiment.g_dyn_instrs
 
+(* ---------------- allocation-free masked access ---------------- *)
+
+(* Minor-heap words [f ()] allocates, net of the probe's own cost. *)
+let minor_words f =
+  let words g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  words f -. words ignore
+
+(* The accesses of a masked foreach tail: an 8-lane maskload into a
+   pinned destination and an 8-lane maskstore, with five lanes on, run
+   on every tail iteration and allocate nothing — each mask-lane test
+   reads its lane unboxed. *)
+let test_masked_access_allocates_nothing () =
+  let mem = Memory.create () in
+  let base = Memory.alloc mem ~name:"a" ~bytes:32 in
+  let ty = Vtype.Vector (8, Vtype.I32) in
+  let mask =
+    Vvalue.I (Vtype.I1, Ilanes.init 8 (fun i -> if i < 5 then 1L else 0L))
+  in
+  let v = Vvalue.I (Vtype.I32, Ilanes.init 8 Int64.of_int) in
+  let out = Vvalue.zero_of_ty ty in
+  let load () = Memory.masked_load_into mem ty base ~mask out in
+  let store () = Memory.store ~mask mem v base in
+  (* first calls outside the probe: the first store dirties the region *)
+  store ();
+  load ();
+  check (Alcotest.float 0.0) "masked_load_into allocates 0 words" 0.0
+    (minor_words load);
+  check (Alcotest.float 0.0) "store ~mask allocates 0 words" 0.0
+    (minor_words store);
+  check Alcotest.int64 "enabled lane loaded" 4L (Vvalue.int_lane out 4);
+  check Alcotest.int64 "disabled lane reads zero" 0L (Vvalue.int_lane out 5)
+
 let () =
   Alcotest.run "dps"
     [
@@ -300,5 +336,10 @@ let () =
         [
           Alcotest.test_case "shared constants survive injection" `Quick
             test_constants_survive_injection;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "masked load/store allocate nothing" `Quick
+            test_masked_access_allocates_nothing;
         ] );
     ]

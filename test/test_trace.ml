@@ -352,6 +352,40 @@ let test_replay_accepts_older_schemas () =
          "golden_runs"; "golden_reused";
        ])
 
+(* Before every executor ran detector cells, a CLI detector campaign
+   asked for fast-forward or converge-pruned replay wrote the executor
+   it fell back to into the header. Nothing writes that field now, so
+   the reader is checked against a literal header line of such a
+   trace; today's header has no such field. *)
+let test_report_reads_old_header_executor () =
+  let old_header =
+    Json.of_string
+      {|{"type":"header","schema":"vulfi-trace-v4","executor":"checkpointed"}|}
+  in
+  let w = vcopy_workload [ 8 ] in
+  let live, text =
+    traced_run tiny_config w Vir.Target.Avx Analysis.Sites.Pure_data
+  in
+  let records = parse_trace text in
+  check Alcotest.string "today's header line"
+    {|{"type":"header","schema":"vulfi-trace-v4"}|}
+    (Json.to_string (List.hd records));
+  check
+    Alcotest.(option string)
+    "old header: executor read" (Some "checkpointed")
+    (Report.header_executor (old_header :: List.tl records));
+  check
+    Alcotest.(option string)
+    "today's header: no executor" None
+    (Report.header_executor records);
+  match Report.replay_of_trace (old_header :: List.tl records) with
+  | Ok [ rp ] ->
+    check Alcotest.string "old header: fig11 row replays"
+      (Report.fig11_row live)
+      (Report.fig11_row rp.Report.rp_result)
+  | Ok _ -> Alcotest.fail "old header: expected one cell"
+  | Error msg -> Alcotest.fail ("old header: " ^ msg)
+
 let () =
   Alcotest.run "trace"
     [
@@ -381,5 +415,7 @@ let () =
             test_replay_rejects_bad_traces;
           Alcotest.test_case "accepts older schemas" `Quick
             test_replay_accepts_older_schemas;
+          Alcotest.test_case "reads an old header's executor" `Quick
+            test_report_reads_old_header_executor;
         ] );
     ]
